@@ -19,13 +19,12 @@ from .geodesics import (HorizontalSection, ReturnRecord,
                         flat_complex_geodesic, flat_sqrt_rho,
                         integrate_complex_geodesic, reflect_state)
 from .fourier import (CauchyFactor, GaussianFactor, OrbitalSpectrum,
-                      RestrictionSamples, band_mass,
+                      RestrictionSamples, WindowedSpectrum, band_mass,
                       exact_restriction_spectrum, orbital_coefficients,
                       paley_wiener_check, plancherel_check,
                       sample_arc, sample_restriction, windowed_transform)
 from .growth import (GrowthProfile, Strip, check_growth_bound,
-                     continue_periodic, continue_periodic_grid,
-                     continue_windowed, growth_profile,
+                     continue_periodic_grid, continue_windowed, growth_profile,
                      hartogs_dichotomy_check, l2_growth_exponent,
                      select_window, sup_growth_exponent, tempered_weyl_sum)
 from .zeros import (BoxIndicator, CosineWindow, GaussianBump, ZeroSet,

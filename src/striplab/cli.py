@@ -11,7 +11,7 @@ import argparse
 import json
 import sys
 
-from .errors import ConfigInvalid, MissingData, StripLabError
+from .errors import StripLabError
 from .experiments import (emit_plots, run_experiment, validate_config,
                           write_results)
 
@@ -51,11 +51,7 @@ def main(argv=None):
             for path in emit_plots(args.results_dir):
                 print(path)
             return 0
-    except (ConfigInvalid, MissingData, OSError,
-            json.JSONDecodeError) as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
-    except StripLabError as exc:
+    except (StripLabError, OSError, json.JSONDecodeError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
     return 2

@@ -65,6 +65,10 @@ class GridTooCoarse(StripLabError):
     pass
 
 
+class ContinuationOverflow(StripLabError):
+    """e^{w |n tau|} in the continuation sum leaves float64."""
+
+
 # -- zero finding
 
 class DegenerateSpectrum(StripLabError):

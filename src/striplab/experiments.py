@@ -99,6 +99,7 @@ class ResultRecord:
     tolerances: dict = field(default_factory=dict)
     passed: bool = True
     extra_csv: dict = field(default_factory=dict)  # filename -> text
+    wall_time: float | None = None                 # manifest only
 
     def to_json_obj(self):
         return {"experiment": self.experiment,
@@ -115,15 +116,18 @@ def _mean_se(values):
     return float(np.mean(a)), se
 
 
+def _geodesic_for(cfg):
+    geod = cfg.get("geodesic", {"q": [1, 0]})
+    return torus_geodesic(tuple(geod.get("q", [1, 0])),
+                          tuple(geod.get("x0", [0.0, 0.0])))
+
+
 def _spectrum_for(cfg, lam, seed):
     surface = cfg.get("surface", {"kind": "RandomWaveTorus"})
-    geod = cfg.get("geodesic", {"q": [1, 0]})
-    state = torus_geodesic(tuple(geod.get("q", [1, 0])),
-                           tuple(geod.get("x0", [0.0, 0.0])))
     if surface["kind"] == "Sine":
-        return sine_spectrum(int(lam)), state
+        return sine_spectrum(int(lam))
     mode = sample_random_wave(lam, surface.get("delta", 1.0), seed)
-    return exact_restriction_spectrum(mode, state), state
+    return exact_restriction_spectrum(mode, _geodesic_for(cfg))
 
 
 def _parallel_map(fn, cells):
@@ -145,7 +149,7 @@ def _run_equidistribution(cfg, rec):
 
     def cell(c):
         lam, seed = c
-        spec, _ = _spectrum_for(cfg, lam, seed)
+        spec = _spectrum_for(cfg, lam, seed)
         zs = laurent_roots(spec, tau_max)
         pairing, ref = empirical_measure_pairing(zs, f)
         return {"lambda": lam, "seed": seed,
@@ -174,15 +178,18 @@ def _run_equidistribution(cfg, rec):
 
 def _run_growth(cfg, rec):
     tau = cfg.get("strip", {}).get("tau_max", 0.3)
+    seeds = cfg.get("seeds", [0])
 
     def cell(c):
         lam, seed = c
-        spec, _ = _spectrum_for(cfg, lam, seed)
+        spec = _spectrum_for(cfg, lam, seed)
         return {"lambda": lam, "seed": seed,
-                "l2_exponent": l2_growth_exponent(spec, tau)}
+                "l2_exponent": l2_growth_exponent(spec, tau)}, \
+            (spec if seed == seeds[0] else None)
 
-    cells = [(lam, s) for lam in cfg["lambdas"] for s in cfg.get("seeds", [0])]
-    rec.per_seed = _parallel_map(cell, cells)
+    cells = [(lam, s) for lam in cfg["lambdas"] for s in seeds]
+    out = _parallel_map(cell, cells)
+    rec.per_seed = [m for m, _ in out]
     by_lam = {}
     for m in rec.per_seed:
         by_lam.setdefault(m["lambda"], []).append(m["l2_exponent"])
@@ -196,11 +203,10 @@ def _run_growth(cfg, rec):
     rec.passed = (abs(gaps[-1]) <= tol
                   and all(b <= a + 1e-12 for a, b in zip(gaps, gaps[1:])))
 
-    # tau-sweep curves for plotting
+    # tau-sweep curves of each lambda's first seed for plotting
     taus = np.linspace(0.0, tau, 16)
     lines = ["tau,lambda,exponent"]
-    for lam in cfg["lambdas"]:
-        spec, _ = _spectrum_for(cfg, lam, cfg.get("seeds", [0])[0])
+    for lam, (_, spec) in zip(cfg["lambdas"], out[::len(seeds)]):
         for tv in taus:
             lines.append("%r,%r,%r" % (float(tv), float(lam),
                                        l2_growth_exponent(spec, tv)))
@@ -214,7 +220,7 @@ def _run_band_mass(cfg, rec):
 
     def cell(c):
         lam, seed = c
-        spec, _ = _spectrum_for(cfg, lam, seed)
+        spec = _spectrum_for(cfg, lam, seed)
         total = spec.total_mass()
         return {"lambda": lam, "seed": seed,
                 "band_ratio": band_mass(spec, band[0], band[1]) / total,
@@ -241,19 +247,22 @@ def _run_wigner(cfg, rec):
     tau_scale = cfg.get("tau_scale", 0.5)
     shift = cfg.get("shift", 0.5)
     width = cfg.get("symbol_width", 1.0)
+    seeds = cfg.get("seeds", [0])
 
     def cell(c):
         lam, seed = c
-        spec, _ = _spectrum_for(cfg, lam, seed)
+        spec = _spectrum_for(cfg, lam, seed)
         interval = Interval(0.0, spec.period)
         a = GaussianSymbol(center=interval.mid - shift / 2.0, width=width)
         gap, deriv = translation_invariance_stat(spec, tau_scale / lam,
                                                  interval, a, shift)
         return {"lambda": lam, "seed": seed, "gap": gap,
-                "derivative_pairing": deriv}
+                "derivative_pairing": deriv}, \
+            (spec if seed == seeds[0] else None)
 
-    cells = [(lam, s) for lam in cfg["lambdas"] for s in cfg.get("seeds", [0])]
-    rec.per_seed = _parallel_map(cell, cells)
+    cells = [(lam, s) for lam in cfg["lambdas"] for s in seeds]
+    out = _parallel_map(cell, cells)
+    rec.per_seed = [m for m, _ in out]
     by_lam = {}
     for m in rec.per_seed:
         by_lam.setdefault(m["lambda"], []).append(m["gap"])
@@ -264,8 +273,9 @@ def _run_wigner(cfg, rec):
     rec.passed = gaps[-1] <= tol and all(b <= a + 1e-12
                                          for a, b in zip(gaps, gaps[1:]))
 
-    lam, seed = cfg["lambdas"][-1], cfg.get("seeds", [0])[0]
-    spec, _ = _spectrum_for(cfg, lam, seed)
+    # density of the last lambda's first seed for plotting
+    lam = cfg["lambdas"][-1]
+    spec = out[-len(seeds)][1]
     dens = normalized_pullback(spec, tau_scale / lam,
                                Interval(0.0, spec.period))
     rec.extra_csv["wigner.csv"] = dens.to_csv()
@@ -280,9 +290,7 @@ def _run_qer(cfg, rec):
         lam, seed = c
         surface = cfg.get("surface", {"kind": "RandomWaveTorus"})
         mode = sample_random_wave(lam, surface.get("delta", 1.0), seed)
-        geod = cfg.get("geodesic", {"q": [1, 0]})
-        state = torus_geodesic(tuple(geod.get("q", [1, 0])))
-        samples = sample_restriction(mode, state, count=4096)
+        samples = sample_restriction(mode, _geodesic_for(cfg), count=4096)
         v_band, _ = qer_matrix_element(samples, SymbolDescriptor(chi=chi))
         v_all, ref_all = qer_matrix_element(samples,
                                             SymbolDescriptor(chi=chi_all))
@@ -425,7 +433,7 @@ def write_results(record, outdir):
                 "seeds": sorted({m["seed"] for m in record.per_seed
                                  if "seed" in m}),
                 "threads": int(os.environ.get("LAB_THREADS", "1")),
-                "wall_time": getattr(record, "wall_time", None)}
+                "wall_time": record.wall_time}
     with open(os.path.join(outdir, "manifest.json"), "w") as fh:
         json.dump(manifest, fh, sort_keys=True, indent=2)
         fh.write("\n")

@@ -11,13 +11,13 @@ factor G; nu^G(sigma) = int G(t) phi(gamma(t)) e^{-i t sigma} dt.
 from __future__ import annotations
 
 import json
-import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, replace
+from types import MappingProxyType
 
 import numpy as np
 
-from .errors import (EmptySpectrum, PoleTooClose, Undersampled,
-                     WindowTooShort, ZeroEigenvalue)
+from .errors import (PoleTooClose, Undersampled, WindowTooShort,
+                     ZeroEigenvalue)
 from .surfaces import TORUS_SIDE, evaluate_mode_grid
 
 
@@ -51,66 +51,74 @@ class CauchyFactor:
         return "CauchyPole(%g)" % self.p
 
 
-@dataclass
+@dataclass(eq=False)
 class OrbitalSpectrum:
-    """Frequency content of a restricted eigenfunction.
+    """Orbital Fourier coefficients nu(n) of a periodic restriction.
 
-    Periodic: period L and a map n -> nu(n) over integer frequencies.
-    Aperiodic: period None, a uniform sigma grid with transform values and
-    the convergence factor that produced them.
+    Stored densely: coeffs[k] = nu(n_min + k), trimmed so that the first
+    and last coefficients are nonzero (the empty spectrum has no
+    coefficients).  A dict {n: nu(n)} as the third argument builds the
+    array; `entries` is the derived read-only map of the nonzero
+    coefficients.
     """
 
     lam: float
-    period: float | None = None
-    entries: dict = field(default_factory=dict)
-    sigma: np.ndarray | None = None
-    values: np.ndarray | None = None
-    factor: object | None = None
+    period: float
+    nu: InitVar[dict | None] = None
     tau_max: float = 1.0
+    n_min: int = 0
+    coeffs: np.ndarray = ()
     parseval_defect: float | None = None
 
-    @property
-    def is_periodic(self):
-        return self.period is not None and self.sigma is None
-
-    @property
-    def n_min(self):
-        if not self.entries:
-            raise EmptySpectrum("no entries")
-        return min(self.entries)
+    def __post_init__(self, nu):
+        if nu is not None:
+            self.n_min, n_max = min(nu, default=0), max(nu, default=-1)
+            self.coeffs = [nu.get(n, 0) for n in range(self.n_min, n_max + 1)]
+        coeffs = np.asarray(self.coeffs, dtype=complex)
+        nz = np.flatnonzero(coeffs)
+        lo, hi = (nz[0], nz[-1] + 1) if len(nz) else (0, 0)
+        self.n_min = int(self.n_min + lo)
+        self.coeffs = coeffs[lo:hi]
 
     @property
     def n_max(self):
-        if not self.entries:
-            raise EmptySpectrum("no entries")
-        return max(self.entries)
+        return self.n_min + len(self.coeffs) - 1
+
+    @property
+    def freqs(self):
+        """The integer frequency of each coefficient, as floats."""
+        return np.arange(self.n_min, self.n_max + 1, dtype=float)
+
+    @property
+    def entries(self):
+        """Read-only map n -> nu(n) of the nonzero coefficients."""
+        nz = np.flatnonzero(self.coeffs)
+        return MappingProxyType(dict(zip((self.n_min + nz).tolist(),
+                                         self.coeffs[nz].tolist())))
 
     def total_mass(self):
-        if self.is_periodic:
-            return sum(abs(v) ** 2 for v in self.entries.values())
-        dsig = self.sigma[1] - self.sigma[0]
-        return float(np.trapezoid(np.abs(self.values) ** 2, dx=dsig))
+        return float(np.sum(np.abs(self.coeffs) ** 2))
 
     def is_real_restriction(self, tol=1e-12):
-        scale = max((abs(v) for v in self.entries.values()), default=1.0)
-        for n, v in self.entries.items():
-            if abs(self.entries.get(-n, 0.0) - np.conj(v)) > tol * (1 + scale):
-                return False
-        return True
+        """nu(-n) = conj(nu(n)) for every n, relative to the largest |nu|."""
+        k = max(-self.n_min, self.n_max, 0)
+        sym = np.zeros(2 * k + 1, dtype=complex)
+        sym[k + self.n_min:k + self.n_max + 1] = self.coeffs
+        scale = float(np.max(np.abs(self.coeffs), initial=0.0))
+        return bool(np.all(np.abs(sym - np.conj(sym[::-1]))
+                           <= tol * (1 + scale)))
 
     def shifted(self, s):
         """Spectrum of t -> f(t + s): nu(n) e^{2 pi i n s / L}."""
         w = 2.0 * np.pi / self.period
-        return OrbitalSpectrum(
-            self.lam, self.period,
-            {n: v * np.exp(1j * w * n * s) for n, v in self.entries.items()},
-            tau_max=self.tau_max)
+        return replace(self, coeffs=self.coeffs
+                       * np.exp(1j * w * self.freqs * s))
 
     def to_json(self):
         obj = {"lambda": self.lam, "period": self.period,
                "tau_max": self.tau_max,
                "entries": [[n, v.real, v.imag]
-                           for n, v in sorted(self.entries.items())]}
+                           for n, v in self.entries.items()]}
         return json.dumps(obj)
 
     @staticmethod
@@ -122,14 +130,29 @@ class OrbitalSpectrum:
             tau_max=obj["tau_max"])
 
     def to_csv(self):
-        lines = ["n,re,im" if self.is_periodic else "sigma,re,im"]
-        if self.is_periodic:
-            for n, v in sorted(self.entries.items()):
-                lines.append("%d,%r,%r" % (n, v.real, v.imag))
-        else:
-            for s, v in zip(self.sigma, self.values):
-                lines.append("%r,%r,%r" % (float(s), v.real, v.imag))
+        lines = ["n,re,im"]
+        for n, v in self.entries.items():
+            lines.append("%d,%r,%r" % (n, v.real, v.imag))
         return "\n".join(lines) + "\n"
+
+
+@dataclass(eq=False)
+class WindowedSpectrum:
+    """Windowed transform nu^G(sigma) of a non-periodic arc.
+
+    Values on a uniform sigma grid, the convergence factor G that produced
+    them and the bound on |G| at the ends of the sampled arc.
+    """
+
+    lam: float
+    sigma: np.ndarray
+    values: np.ndarray
+    factor: object
+    truncation_error: float
+
+    def total_mass(self):
+        dsig = self.sigma[1] - self.sigma[0]
+        return float(np.trapezoid(np.abs(self.values) ** 2, dx=dsig))
 
 
 @dataclass(frozen=True)
@@ -179,13 +202,14 @@ def exact_restriction_spectrum(mode, state, tau_max=1.0):
     """
     if state.q is None:
         raise ValueError("exact spectrum needs a periodic lattice direction")
-    entries = {}
-    for n, c in mode.terms:
-        k = n[0] * state.q[0] + n[1] * state.q[1]
-        phase = np.exp(1j * (n[0] * state.x[0] + n[1] * state.x[1]))
-        entries[k] = entries.get(k, 0.0) + c * phase
-    entries = {k: v for k, v in entries.items() if v != 0}
-    return OrbitalSpectrum(mode.lam, state.period, entries, tau_max=tau_max)
+    n = np.array([n for n, _ in mode.terms])
+    c = np.array([c for _, c in mode.terms], dtype=complex)
+    k = n[:, 0] * state.q[0] + n[:, 1] * state.q[1]
+    c *= np.exp(1j * (n[:, 0] * state.x[0] + n[:, 1] * state.x[1]))
+    coeffs = np.zeros(k.max() - k.min() + 1, dtype=complex)
+    np.add.at(coeffs, k - k.min(), c)
+    return OrbitalSpectrum(mode.lam, state.period, tau_max=tau_max,
+                           n_min=int(k.min()), coeffs=coeffs)
 
 
 def orbital_coefficients(samples, n_max, tau_max=1.0):
@@ -201,14 +225,12 @@ def orbital_coefficients(samples, n_max, tau_max=1.0):
     if m < 4 * n_max:
         raise Undersampled("%d samples for n_max=%d" % (m, n_max))
     coeff = np.fft.fft(samples.values) / m
-    entries = {}
-    for n in range(-n_max, n_max + 1):
-        entries[n] = complex(coeff[n % m])
-    spec = OrbitalSpectrum(samples.lam, samples.period, entries,
-                           tau_max=tau_max)
+    coeffs = coeff[np.arange(-n_max, n_max + 1) % m]
     mean_sq = float(np.mean(np.abs(samples.values) ** 2))
-    spec.parseval_defect = abs(spec.total_mass() - mean_sq)
-    return spec
+    defect = abs(float(np.sum(np.abs(coeffs) ** 2)) - mean_sq)
+    return OrbitalSpectrum(samples.lam, samples.period, tau_max=tau_max,
+                           n_min=-n_max, coeffs=coeffs,
+                           parseval_defect=defect)
 
 
 def windowed_transform(samples, factor, sigma_grid):
@@ -235,16 +257,7 @@ def windowed_transform(samples, factor, sigma_grid):
     w = np.full(len(t), dt)
     w[0] = w[-1] = 0.5 * dt
     vals = kernel @ (g * w)
-    spec = OrbitalSpectrum(samples.lam, None, sigma=sigma, values=vals,
-                           factor=factor)
-    spec.truncation_error = trunc
-    return spec
-
-
-def check_pole(factor, tau_max):
-    if isinstance(factor, CauchyFactor) and abs(factor.p) <= tau_max:
-        raise PoleTooClose("pole |p|=%g inside strip tau_max=%g"
-                           % (abs(factor.p), tau_max))
+    return WindowedSpectrum(samples.lam, sigma, vals, factor, trunc)
 
 
 def band_mass(spectrum, a, b):
@@ -258,10 +271,10 @@ def band_mass(spectrum, a, b):
     if lam <= 0:
         raise ZeroEigenvalue("band_mass needs lam > 0")
     lo, hi = a * lam, b * lam
-    if spectrum.is_periodic:
-        w = 2.0 * np.pi / spectrum.period
-        return sum(abs(v) ** 2 for n, v in spectrum.entries.items()
-                   if lo <= abs(w * n) <= hi)
+    if isinstance(spectrum, OrbitalSpectrum):
+        freq = np.abs(2.0 * np.pi / spectrum.period * spectrum.freqs)
+        mask = (freq >= lo) & (freq <= hi)
+        return float(np.sum(np.abs(spectrum.coeffs[mask]) ** 2))
     mask = (np.abs(spectrum.sigma) >= lo) & (np.abs(spectrum.sigma) <= hi)
     dsig = spectrum.sigma[1] - spectrum.sigma[0]
     return float(np.sum(np.abs(spectrum.values[mask]) ** 2) * dsig)
@@ -276,18 +289,17 @@ def paley_wiener_check(spectrum, tau, m=2):
     lam = spectrum.lam
     if lam <= 0:
         raise ZeroEigenvalue
-    rows, worst, worst_n = [], -np.inf, None
-    for n, v in sorted(spectrum.entries.items()):
-        if abs(n) < lam:
-            continue
-        bound = lam ** ((m - 1) / 2.0) * math.exp(2 * abs(tau) * (lam - abs(n)))
-        margin = abs(v) ** 2 - bound
-        rows.append({"n": n, "mass": abs(v) ** 2, "bound": bound,
-                     "ok": margin <= 0})
-        if margin > worst:
-            worst, worst_n = margin, n
+    high = np.abs(spectrum.freqs) >= lam
+    ns = spectrum.freqs[high]
+    mass = np.abs(spectrum.coeffs[high]) ** 2
+    bound = lam ** ((m - 1) / 2.0) * np.exp(2 * abs(tau) * (lam - np.abs(ns)))
+    margin = mass - bound
+    rows = [{"n": int(n), "mass": float(a), "bound": float(b),
+             "ok": bool(a <= b)} for n, a, b in zip(ns, mass, bound)]
+    worst = int(np.argmax(margin)) if rows else None
     return {"rows": rows, "passed": all(r["ok"] for r in rows),
-            "worst_margin": worst if rows else 0.0, "worst_n": worst_n}
+            "worst_margin": float(margin[worst]) if rows else 0.0,
+            "worst_n": rows[worst]["n"] if rows else None}
 
 
 def plancherel_check(samples, factor, tau, sigma_grid, sgrid):

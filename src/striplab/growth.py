@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (EmptySpectrum, GridTooCoarse, OffShell, StripExceeded,
-                     ZeroEigenvalue)
+from .errors import (ContinuationOverflow, EmptySpectrum, GridTooCoarse,
+                     OffShell, StripExceeded, ZeroEigenvalue)
 from .fourier import OrbitalSpectrum, exact_restriction_spectrum
 from .geodesics import flat_sqrt_rho
 
@@ -62,32 +62,25 @@ class GrowthProfile:
         return "\n".join(lines) + "\n"
 
 
-def _entry_arrays(spectrum):
-    if not spectrum.entries:
-        raise EmptySpectrum("spectrum has no entries")
-    ns = np.array(sorted(spectrum.entries), dtype=float)
-    vals = np.array([spectrum.entries[int(n)] for n in ns], dtype=complex)
-    return ns, vals
-
-
-def continue_periodic(spectrum, z):
-    """Continuation sum nu(n) e^{2 pi i n z / L}, compensated summation."""
-    z = complex(z)
-    if abs(z.imag) > spectrum.tau_max + 1e-15:
-        raise StripExceeded("|tau|=%g beyond declared %g"
-                            % (abs(z.imag), spectrum.tau_max))
-    w = 2.0 * np.pi / spectrum.period
-    terms = [v * np.exp(1j * w * n * z) for n, v in spectrum.entries.items()]
-    return complex(math.fsum(t.real for t in terms),
-                   math.fsum(t.imag for t in terms))
-
-
 def continue_periodic_grid(spectrum, t, tau):
-    """Vectorized continuation on the tensor grid t x tau -> (ntau, nt)."""
-    ns, vals = _entry_arrays(spectrum)
+    """Continuation sum nu(n) e^{2 pi i n (t + i tau) / L} on a tensor grid.
+
+    Returns shape (len(tau), len(t)).  The one evaluator of the sum:
+    points, paths and box edges are 1x1, one-row or one-column grids.
+    Raises StripExceeded beyond the spectrum's tau_max and
+    ContinuationOverflow where e^{2 pi |n tau| / L} leaves float64.
+    """
+    if not len(spectrum.coeffs):
+        raise EmptySpectrum("spectrum has no entries")
+    ns, vals = spectrum.freqs, spectrum.coeffs
     w = 2.0 * np.pi / spectrum.period
     t = np.atleast_1d(np.asarray(t, dtype=float))
     tau = np.atleast_1d(np.asarray(tau, dtype=float))
+    tau_top = float(np.max(np.abs(tau)))
+    if tau_top > spectrum.tau_max + 1e-15:
+        raise StripExceeded("|tau|=%g beyond %g" % (tau_top, spectrum.tau_max))
+    if w * max(-ns[0], ns[-1]) * tau_top > np.log(np.finfo(float).max):
+        raise ContinuationOverflow("e^{w n tau} overflows at tau=%g" % tau_top)
     damp = np.exp(-w * np.outer(tau, ns)) * vals       # (ntau, nterms)
     osc = np.exp(1j * w * np.outer(ns, t))             # (nterms, nt)
     return damp @ osc
@@ -125,10 +118,8 @@ def growth_profile(spectrum, strip):
     """Grid evaluation of v = (1/lam) log |f|^2, log clamped at the floor."""
     if spectrum.lam <= 0:
         raise ZeroEigenvalue("growth profile needs lam > 0")
-    if abs(strip.tau_max) > spectrum.tau_max + 1e-15:
-        raise StripExceeded
     t, tau = strip.t_values, strip.tau_values
-    if spectrum.is_periodic:
+    if isinstance(spectrum, OrbitalSpectrum):
         f = continue_periodic_grid(spectrum, t, tau)
     else:
         zz = t[None, :] + 1j * tau[:, None]
@@ -157,13 +148,12 @@ def l2_growth_exponent(spectrum, tau):
     """
     if spectrum.lam <= 0:
         raise ZeroEigenvalue
-    if not spectrum.entries:
+    if not len(spectrum.coeffs):
         raise EmptySpectrum
-    ns, vals = _entry_arrays(spectrum)
     w = 4.0 * np.pi / spectrum.period
-    mass = np.abs(vals) ** 2
+    mass = np.abs(spectrum.coeffs) ** 2
     # factor the dominant exponential out of the log-sum for stability
-    expo = -w * ns * tau
+    expo = -w * spectrum.freqs * tau
     top = np.max(expo)
     line = math.log(float(np.sum(mass * np.exp(expo - top)))) + float(top)
     base = math.log(float(np.sum(mass)))

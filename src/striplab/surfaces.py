@@ -248,8 +248,7 @@ def sphere_equator_spectrum(l, m):
     val = _equator_harmonic_value(l, abs(m))
     if m < 0:
         val = val * (-1.0) ** m   # Condon-Shortley transfer for negative order
-    entries = {m: complex(val)} if val != 0.0 else {}
-    return OrbitalSpectrum(lam=float(l), period=TORUS_SIDE, entries=entries)
+    return OrbitalSpectrum(float(l), TORUS_SIDE, {m: complex(val)})
 
 
 def evaluate_mode(mode, point):

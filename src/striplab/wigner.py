@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import (NonSeparableSymbol, RangeExceeded, SupportLeak,
                      VanishingRestriction, ZeroEigenvalue)
-from .fourier import orbital_coefficients
+from .fourier import OrbitalSpectrum, orbital_coefficients
 from .growth import continue_periodic_grid
 
 SPHERE_COTANGENT_VOLUME = 2.0 * np.pi * (2.0 * np.pi) ** 2   # vol(S*M), torus
@@ -218,7 +218,7 @@ def moving_pullback(spectra, tau, interval, shifts):
         raise ValueError("one shift per spectrum")
     out = []
     for spec, nj in zip(spectra, shifts):
-        if not spec.is_periodic:
+        if not isinstance(spec, OrbitalSpectrum):
             raise RangeExceeded("moving pullback needs periodic spectra")
         out.append(normalized_pullback(spec.shifted(nj), tau, interval))
     return out
@@ -242,8 +242,7 @@ def qer_matrix_element(samples, symbol):
     m = len(samples.values)
     spec = orbital_coefficients(samples, n_max=m // 4)
     w = 2.0 * np.pi / (L * samples.lam)
-    ns = np.array(sorted(spec.entries), dtype=float)
-    nu = np.array([spec.entries[int(n)] for n in ns])
+    ns, nu = spec.freqs, spec.coeffs
     chi_weights = symbol.chi(w * ns) if symbol.chi is not None else \
         np.ones_like(ns)
     if symbol.alpha is None:

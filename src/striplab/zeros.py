@@ -11,11 +11,12 @@ recovers the counting measure from growth profiles.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import BoundaryZero, DegenerateSpectrum
+from .growth import continue_periodic_grid
 
 
 @dataclass
@@ -55,15 +56,16 @@ class ZeroSet:
         return "\n".join(lines) + "\n"
 
 
-def _newton_strip(spectrum, w, iters=8):
+def _value_at(spectrum, w):
+    """The continuation at w = t + i tau, a 1x1 grid."""
+    return continue_periodic_grid(spectrum, w.real, w.imag)[0, 0]
+
+
+def _newton_strip(spectrum, deriv, w, iters=8):
     """Newton refinement of a continuation zero in strip coordinates."""
-    ns = np.array(sorted(spectrum.entries), dtype=float)
-    vals = np.array([spectrum.entries[int(n)] for n in ns], dtype=complex)
-    om = 2.0 * np.pi / spectrum.period
     for _ in range(iters):
-        e = np.exp(1j * om * ns * w)
-        f = np.sum(vals * e)
-        df = np.sum(vals * 1j * om * ns * e)
+        f = _value_at(spectrum, w)
+        df = _value_at(deriv, w)
         if df == 0:
             break
         step = f / df
@@ -82,37 +84,29 @@ def laurent_roots(spectrum, tau_max, cluster_tol=1e-9):
     t + i tau and are Newton polished.  Count over the full annulus of
     analyticity is exactly the polynomial degree.
     """
-    entries = {n: v for n, v in spectrum.entries.items() if v != 0}
-    if not entries:
+    if not len(spectrum.coeffs):
         raise DegenerateSpectrum("zero polynomial")
     L = spectrum.period
-    n_min, n_max = min(entries), max(entries)
-    degree = n_max - n_min
-    if degree == 0:
-        return ZeroSet([], L, spectrum.lam, tau_max)
-    coeffs = np.zeros(degree + 1, dtype=complex)
-    for n, v in entries.items():
-        coeffs[n_max - n] = v      # descending powers of z
-    roots = np.roots(coeffs)
+    roots = np.roots(spectrum.coeffs[::-1])     # descending powers of z
 
     r_lo = math.exp(-2.0 * math.pi * tau_max / L) - 1e-9
     r_hi = math.exp(2.0 * math.pi * tau_max / L) + 1e-9
     kept = [r for r in roots if r_lo <= abs(r) <= r_hi]
 
     # polish in strip coordinates (the polynomial overflows off the annulus)
+    om = 2.0 * math.pi / L      # f' is the same sum over i om n nu(n)
+    deriv = replace(spectrum,
+                    coeffs=1j * om * spectrum.freqs * spectrum.coeffs)
     ws = []
     for r in kept:
         t = (L * math.atan2(r.imag, r.real) / (2.0 * math.pi)) % L
         tau = -L * math.log(abs(r)) / (2.0 * math.pi)
-        ws.append(_newton_strip(spectrum, complex(t, tau)))
+        ws.append(_newton_strip(spectrum, deriv, complex(t, tau)))
 
     # residuals relative to the restriction's scale on the period cell
-    warn = False
-    scale = float(np.max(np.abs(_eval_on_path(
-        spectrum, np.linspace(0, L, 256, endpoint=False)))))
-    for w in ws:
-        if abs(_eval_on_path(spectrum, np.array([w]))[0]) > 1e-8 * scale:
-            warn = True
+    scale = float(np.max(np.abs(continue_periodic_grid(
+        spectrum, np.linspace(0, L, 256, endpoint=False), [0.0]))))
+    warn = any(abs(_value_at(spectrum, w)) > 1e-8 * scale for w in ws)
 
     # cluster for multiplicities, threshold relative to the period
     zs = []
@@ -131,13 +125,16 @@ def laurent_roots(spectrum, tau_max, cluster_tol=1e-9):
                    conditioning_warning=warn)
 
 
-def _boundary_samples(box, n):
+def _boundary_values(spectrum, box, n):
+    """Continuation values counterclockwise around the box from (t0, u0)."""
     t0, t1, u0, u1 = box
-    top = [complex(t, u0) for t in np.linspace(t0, t1, n, endpoint=False)]
-    right = [complex(t1, u) for u in np.linspace(u0, u1, n, endpoint=False)]
-    bottom = [complex(t, u1) for t in np.linspace(t1, t0, n, endpoint=False)]
-    left = [complex(t0, u) for u in np.linspace(u1, u0, n, endpoint=False)]
-    return np.array(top + right + bottom + left + [complex(t0, u0)])
+    ts = np.linspace(t0, t1, n, endpoint=False)
+    us = np.linspace(u0, u1, n, endpoint=False)
+    return np.concatenate([
+        continue_periodic_grid(spectrum, ts, u0)[0],
+        continue_periodic_grid(spectrum, t1, us)[:, 0],
+        continue_periodic_grid(spectrum, t0 + t1 - ts, u1)[0],
+        continue_periodic_grid(spectrum, t0, np.r_[u0 + u1 - us, u0])[:, 0]])
 
 
 def argument_principle_count(spectrum, box, n0=64, max_refine=12):
@@ -151,8 +148,7 @@ def argument_principle_count(spectrum, box, n0=64, max_refine=12):
     for attempt in range(3):
         n = n0
         for _ in range(max_refine):
-            zs = _boundary_samples(box, n)
-            vals = _eval_on_path(spectrum, zs)
+            vals = _boundary_values(spectrum, box, n)
             mags = np.abs(vals)
             if np.min(mags) < 1e-12 * np.max(mags):
                 break    # zero on boundary, dilate
@@ -166,13 +162,6 @@ def argument_principle_count(spectrum, box, n0=64, max_refine=12):
         pad = 1e-5 * (attempt + 1)
         box = (t0 - pad, t1 + pad, u0 - pad, u1 + pad)
     raise BoundaryZero("could not separate a zero from the box boundary")
-
-
-def _eval_on_path(spectrum, zs):
-    ns = np.array(sorted(spectrum.entries), dtype=float)
-    vals = np.array([spectrum.entries[int(n)] for n in ns], dtype=complex)
-    w = 2.0 * np.pi / spectrum.period
-    return np.exp(1j * w * np.outer(zs, ns)) @ vals
 
 
 def empirical_measure_pairing(zeroset, f):

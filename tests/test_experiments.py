@@ -5,6 +5,8 @@ import sys
 
 import pytest
 
+from striplab import (BandCutoff, SymbolDescriptor, qer_matrix_element,
+                      sample_random_wave, sample_restriction, torus_geodesic)
 from striplab.cli import main as cli_main
 from striplab.errors import ConfigInvalid
 from striplab.experiments import (config_hash, emit_plots, run_experiment,
@@ -32,6 +34,17 @@ def test_validate_config_field_paths():
         with pytest.raises(ConfigInvalid) as err:
             validate_config(cfg)
         assert err.value.field == fieldpath, cfg
+
+
+def test_qer_samples_along_the_configured_geodesic():
+    cfg = {"experiment": "qer", "lambdas": [30], "seeds": [2],
+           "geodesic": {"q": [1, 0], "x0": [0.3, 0.4]}, "band": [0.5, 1.0]}
+    row = run_experiment(cfg).per_seed[0]
+    samples = sample_restriction(sample_random_wave(30, 1.0, 2),
+                                 torus_geodesic((1, 0), (0.3, 0.4)), count=4096)
+    band, _ = qer_matrix_element(samples,
+                                 SymbolDescriptor(chi=BandCutoff(0.5, 1.0)))
+    assert row["band_value"] == band
 
 
 def test_config_hash_is_order_insensitive():

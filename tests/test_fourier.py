@@ -5,15 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from striplab import (CauchyFactor, GaussianFactor, OrbitalSpectrum,
-                      band_mass, exact_restriction_spectrum, make_torus_mode,
+from striplab import (GaussianFactor, OrbitalSpectrum, band_mass,
+                      exact_restriction_spectrum, make_torus_mode,
                       orbital_coefficients, paley_wiener_check,
                       plancherel_check, sample_arc, sample_random_wave,
                       sample_restriction, torus_geodesic, windowed_transform)
-from striplab.errors import (PoleTooClose, Undersampled, WindowTooShort,
-                             ZeroEigenvalue)
-from striplab.fourier import RestrictionSamples, check_pole
-from striplab.growth import continue_periodic
+from striplab.errors import Undersampled, WindowTooShort, ZeroEigenvalue
+from striplab.fourier import RestrictionSamples
+from striplab.growth import continue_periodic_grid
 
 
 def test_exact_spectrum_single_mode():
@@ -65,8 +64,8 @@ def test_sample_restriction_requires_power_of_two():
 def test_shift_acts_by_phase_on_continuation(s, t, tau):
     mode = sample_random_wave(12.0, 0.5, 4)
     spec = exact_restriction_spectrum(mode, torus_geodesic((1, 0)))
-    a = continue_periodic(spec.shifted(s), t + 1j * tau)
-    b = continue_periodic(spec, (t + s) + 1j * tau)
+    a = continue_periodic_grid(spec.shifted(s), t, tau)[0, 0]
+    b = continue_periodic_grid(spec, t + s, tau)[0, 0]
     assert a == pytest.approx(b, rel=1e-10, abs=1e-12)
 
 
@@ -74,8 +73,36 @@ def test_real_restriction_detection():
     mode = sample_random_wave(15.0, 0.5, 9)
     spec = exact_restriction_spectrum(mode, torus_geodesic((1, 0)))
     assert spec.is_real_restriction()
-    spec.entries[3] = spec.entries.get(3, 0) + 1.0
-    assert not spec.is_real_restriction()
+    bumped = dict(spec.entries)
+    bumped[3] = bumped.get(3, 0) + 1.0
+    perturbed = OrbitalSpectrum(spec.lam, spec.period, bumped)
+    assert not perturbed.is_real_restriction()
+
+
+def test_entries_are_a_read_only_view():
+    spec = exact_restriction_spectrum(sample_random_wave(10.0, 0.5, 3),
+                                      torus_geodesic((1, 0)))
+    with pytest.raises(TypeError):
+        spec.entries[3] = 1.0
+    with pytest.raises(AttributeError):
+        spec.entries = {}
+
+
+@pytest.mark.parametrize("entries", [{-2: 0.3 + 0.1j, 0: 1.0 + 0j, 3: -0.7j},
+                                     {5: 2.0 + 0j}, {}])
+def test_dict_array_entries_round_trip(entries):
+    spec = OrbitalSpectrum(5.0, 2 * np.pi, entries)
+    assert spec.entries == entries
+    if entries:
+        assert (spec.n_min, spec.n_max) == (min(entries), max(entries))
+        dense = [entries.get(n, 0.0) for n in range(min(entries),
+                                                     max(entries) + 1)]
+        assert list(spec.coeffs) == dense
+    else:
+        assert len(spec.coeffs) == 0
+    back = OrbitalSpectrum(5.0, 2 * np.pi, n_min=spec.n_min,
+                           coeffs=spec.coeffs)
+    assert back.entries == entries
 
 
 def test_band_mass_additive_and_total():
@@ -127,12 +154,6 @@ def test_window_too_short():
     samples = _single_freq_samples(5.0, half_length=3.0)
     with pytest.raises(WindowTooShort):
         windowed_transform(samples, GaussianFactor(), np.linspace(-9, 9, 50))
-
-
-def test_cauchy_pole_checks():
-    with pytest.raises(PoleTooClose):
-        check_pole(CauchyFactor(0.2), tau_max=0.3)
-    check_pole(CauchyFactor(0.5), tau_max=0.3)   # outside the strip: fine
 
 
 def test_plancherel_single_frequency_closed_form():

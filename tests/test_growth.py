@@ -6,42 +6,93 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from striplab import (OrbitalSpectrum, Strip, check_growth_bound,
-                      continue_periodic, exact_restriction_spectrum,
+                      continue_periodic_grid, exact_restriction_spectrum,
                       growth_profile, l2_growth_exponent,
                       sample_random_wave, select_window,
                       sphere_equator_spectrum, sup_growth_exponent,
                       tempered_weyl_sum, torus_geodesic)
-from striplab.errors import (EmptySpectrum, GridTooCoarse, OffShell,
-                             StripExceeded, ZeroEigenvalue)
+from striplab.errors import (ContinuationOverflow, EmptySpectrum,
+                             GridTooCoarse, OffShell, StripExceeded,
+                             ZeroEigenvalue)
 from striplab.experiments import sine_spectrum
-from striplab.growth import continue_periodic_grid, hartogs_dichotomy_check
+from striplab.growth import hartogs_dichotomy_check
+from striplab.zeros import _boundary_values
 
 L = 2 * np.pi
+
+
+def _fsum_continuation(spectrum, z):
+    """Reference: per-term sum nu(n) e^{2 pi i n z / L}, compensated."""
+    w = 2.0 * np.pi / spectrum.period
+    terms = [v * np.exp(1j * w * n * z) for n, v in spectrum.entries.items()]
+    return complex(math.fsum(t.real for t in terms),
+                   math.fsum(t.imag for t in terms))
 
 
 def test_continuation_matches_direct_sum():
     spec = OrbitalSpectrum(5.0, L, {-2: 0.3 + 0.1j, 0: 1.0 + 0j, 3: -0.7j})
     z = 0.8 + 0.25j
     direct = sum(v * np.exp(1j * n * z) for n, v in spec.entries.items())
-    assert continue_periodic(spec, z) == pytest.approx(direct, rel=1e-14)
+    assert continue_periodic_grid(spec, z.real, z.imag)[0, 0] == \
+        pytest.approx(direct, rel=1e-14)
+
+
+def _holey_spectra():
+    rng = np.random.default_rng(7)
+    yield OrbitalSpectrum(5.0, L, {-2: 0.3 + 0.1j, 0: 1.0 + 0j, 3: -0.7j})
+    for _ in range(4):
+        support = rng.choice(np.arange(-15, 16), size=8, replace=False)
+        yield OrbitalSpectrum(15.0, 3.0, {
+            int(n): complex(*rng.standard_normal(2)) for n in support})
+    yield exact_restriction_spectrum(sample_random_wave(15.0, 0.5, 2),
+                                     torus_geodesic((1, 0)))
 
 
 def test_grid_continuation_matches_scalar():
-    mode = sample_random_wave(15.0, 0.5, 2)
-    spec = exact_restriction_spectrum(mode, torus_geodesic((1, 0)))
     t = np.array([0.3, 1.7, 4.0])
     tau = np.array([-0.2, 0.0, 0.15])
-    grid = continue_periodic_grid(spec, t, tau)
-    for i, u in enumerate(tau):
-        for j, s in enumerate(t):
-            assert grid[i, j] == pytest.approx(
-                continue_periodic(spec, s + 1j * u), rel=1e-12)
+    box = (0.2, 2.9, -0.25, 0.1)
+    n = 16
+    edge = np.linspace
+    boundary = np.concatenate([
+        edge(box[0], box[1], n, endpoint=False) + 1j * box[2],
+        box[1] + 1j * edge(box[2], box[3], n, endpoint=False),
+        edge(box[1], box[0], n, endpoint=False) + 1j * box[3],
+        box[0] + 1j * edge(box[3], box[2], n + 1)])
+    for spec in _holey_spectra():
+        grid = continue_periodic_grid(spec, t, tau)
+        assert grid.shape == (len(tau), len(t))
+        for i, u in enumerate(tau):
+            for j, s in enumerate(t):
+                assert grid[i, j] == pytest.approx(
+                    _fsum_continuation(spec, s + 1j * u), rel=1e-12)
+                point = continue_periodic_grid(spec, s, u)
+                assert point.shape == (1, 1)
+                assert point[0, 0] == pytest.approx(grid[i, j], rel=1e-12)
+        path = _boundary_values(spec, box, n)
+        ref = [_fsum_continuation(spec, z) for z in boundary]
+        assert path == pytest.approx(ref, rel=1e-12)
+
+
+def test_grid_guards_the_strip_and_float_range():
+    spec = sine_spectrum(6, tau_max=0.4)
+    continue_periodic_grid(spec, [0.0, 1.0], [-0.4, 0.4])
+    with pytest.raises(StripExceeded):
+        continue_periodic_grid(spec, [0.0, 1.0], [0.0, -0.41])
+    with pytest.raises(EmptySpectrum):
+        continue_periodic_grid(OrbitalSpectrum(5.0, L, {}), 0.0, 0.0)
+    # e^{lam tau} = e^{720} is past the float64 range; e^{700} is not
+    big = sine_spectrum(2400, tau_max=1.0)
+    assert np.isfinite(continue_periodic_grid(big, 0.1, 700 / 2400)).all()
+    with pytest.raises(ContinuationOverflow):
+        continue_periodic_grid(big, 0.1, 0.3)
 
 
 def test_sine_continuation_is_sine():
     spec = sine_spectrum(7)
     z = 1.1 + 0.2j
-    assert continue_periodic(spec, z) == pytest.approx(np.sin(7 * z))
+    assert continue_periodic_grid(spec, z.real, z.imag)[0, 0] == \
+        pytest.approx(np.sin(7 * z))
 
 
 def test_growth_profile_respects_strip_bound():

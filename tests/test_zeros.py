@@ -10,7 +10,7 @@ from striplab import (BoxIndicator, CosineWindow, GaussianBump,
                       lelong_density, sample_random_wave, torus_geodesic)
 from striplab.errors import DegenerateSpectrum
 from striplab.experiments import sine_spectrum
-from striplab.growth import continue_periodic
+from striplab.growth import continue_periodic_grid
 
 L = 2 * np.pi
 
@@ -29,10 +29,11 @@ def test_zeros_are_actual_zeros():
     mode = sample_random_wave(30.0, 1.0, 4)
     spec = exact_restriction_spectrum(mode, torus_geodesic((1, 0)))
     zs = laurent_roots(spec, tau_max=0.3)
-    scale = max(abs(continue_periodic(spec, t))
-                for t in np.linspace(0, L, 64))
+    scale = np.max(np.abs(continue_periodic_grid(spec, np.linspace(0, L, 64),
+                                                 0.0)))
     for z, _ in zs.zeros:
-        assert abs(continue_periodic(spec, z)) < 1e-8 * scale
+        assert abs(continue_periodic_grid(spec, z.real, z.imag)[0, 0]) \
+            < 1e-8 * scale
 
 
 def test_real_restriction_zeros_conjugate_symmetric():
