@@ -17,7 +17,8 @@ import striplab as sl
 spec1 = sl.OrbitalSpectrum(40.0, 2 * np.pi, {40: 0.3 + 0.4j})
 iv = sl.Interval(0.0, 2 * np.pi)
 gap, _ = sl.translation_invariance_stat(
-    spec1, 0.1, iv, sl.GaussianSymbol(iv.mid - 0.25, 0.5), 0.5)
+    sl.normalized_pullback(spec1, 0.1, iv),
+    sl.GaussianSymbol(iv.mid - 0.25, 0.5), 0.5)
 print("single frequency: gap = %.2e (exactly invariant)" % gap)
 
 # ensemble decay along the diagonal geodesic (period 2 pi sqrt 2 leaves
@@ -30,8 +31,8 @@ for lam in (100.0, 200.0, 400.0):
             sl.sample_random_wave(lam, 1.0, seed), state)
         interval = sl.Interval(0.0, spec.period)
         a = sl.GaussianSymbol(interval.mid - 0.25, 1.0)
-        g, _ = sl.translation_invariance_stat(spec, 0.5 / lam, interval,
-                                              a, 0.5)
+        dens = sl.normalized_pullback(spec, 0.5 / lam, interval)
+        g, _ = sl.translation_invariance_stat(dens, a, 0.5)
         gaps.append(g)
     print("lambda=%4.0f: mean gap %.4f  (20 seeds)"
           % (lam, float(np.mean(gaps))))

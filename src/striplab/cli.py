@@ -42,7 +42,7 @@ def main(argv=None):
             with open(args.config) as fh:
                 cfg = json.load(fh)
             record = run_experiment(cfg)
-            outdir = args.output or cfg.get("output_dir", "lab-results")
+            outdir = args.output or validate_config(cfg)["output_dir"]
             write_results(record, outdir)
             status = "PASS" if record.passed else "FAIL"
             print("%s %s -> %s" % (record.experiment, status, outdir))

@@ -9,6 +9,7 @@ is byte-stable, timing goes to the manifest only.
 
 from __future__ import annotations
 
+import copy
 import csv
 import hashlib
 import json
@@ -22,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from .errors import ConfigInvalid, MissingData
-from .fourier import (OrbitalSpectrum, exact_restriction_spectrum,
+from .fourier import (OrbitalSpectrum, band_mass, exact_restriction_spectrum,
                       sample_restriction)
 from .geodesics import (HorizontalSection, first_return,
                         flat_complex_geodesic, flat_sqrt_rho,
@@ -36,9 +37,6 @@ from .wigner import (BandCutoff, GaussianSymbol, Interval, SymbolDescriptor,
                      qer_matrix_element, translation_invariance_stat)
 from .zeros import BoxIndicator, empirical_measure_pairing, laurent_roots
 
-EXPERIMENTS = ("equidistribution", "growth", "band-mass", "wigner", "qer",
-               "geometry", "nonperiodic-window")
-
 
 def sine_spectrum(n, tau_max=1.0):
     """Orbital spectrum of sin(n t) on the period-2 pi circle."""
@@ -48,41 +46,140 @@ def sine_spectrum(n, tau_max=1.0):
 
 # ---------------------------------------------------------------- config
 
-def validate_config(cfg):
-    """Raise ConfigInvalid with a field path for out-of-domain parameters."""
-    def need(cond, fieldpath, msg):
-        if not cond:
-            raise ConfigInvalid("%s: %s" % (fieldpath, msg), field=fieldpath)
+def _real(v):
+    return (isinstance(v, (int, float)) and not isinstance(v, bool)
+            and math.isfinite(v))
 
-    need(isinstance(cfg, dict), "$", "config must be a JSON object")
+
+def _int(v):
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _positive(v):
+    return _real(v) and v > 0
+
+
+def _list_of(test, n=None):
+    """A list of items that pass test: exactly n of them, or at least one."""
+    return lambda v: (isinstance(v, list) and (len(v) == n if n else v != [])
+                      and all(test(x) for x in v))
+
+
+_REQUIRED = object()
+_POSITIVE = ("a positive number", _positive)
+_FRACTION = ("a number in [0, 1]", lambda v: _real(v) and 0 <= v <= 1)
+_TEXT = ("a string", lambda v: isinstance(v, str))
+# what the value of each key must be, and its test; every leaf not
+# named here is a positive number
+_KINDS = {
+    "experiment": _TEXT, "output_dir": _TEXT,
+    "near_axis_min": _FRACTION, "top_band_min": _FRACTION,
+    "top_band_eps": _FRACTION,
+    "samples": ("a positive integer", lambda v: _int(v) and v > 0),
+    "seeds": ("a nonempty list of nonnegative integers",
+              _list_of(lambda s: _int(s) and s >= 0)),
+    "lambdas": ("a nonempty, strictly increasing list of positive numbers",
+                lambda v: (_list_of(_positive)(v)
+                           and all(b > a for a, b in zip(v, v[1:])))),
+    "kind": ("RandomWaveTorus or Sine",
+             lambda v: v in ("RandomWaveTorus", "Sine")),
+    "q": ("a primitive integer vector",
+          lambda v: _list_of(_int, 2)(v) and math.gcd(*v) == 1),
+    "x0": ("a list of two numbers", _list_of(_real, 2)),
+    "band": ("a list [a, b] with 0 <= a < b <= 1",
+             lambda v: _list_of(_real, 2)(v) and 0 <= v[0] < v[1] <= 1),
+    "box": ("a list [t0, t1, -h, h] with t0 < t1 and h > 0",
+            lambda v: (_list_of(_real, 4)(v) and v[0] < v[1]
+                       and v[2] == -v[3] and v[3] > 0)),
+}
+
+# Every key a runner reads, with the default it has always used; a dict
+# is a sub-object.  box None stands for the whole strip.
+_COMMON = {"experiment": _REQUIRED, "seeds": [0],
+           "output_dir": "lab-results"}
+_WAVE = {**_COMMON, "lambdas": _REQUIRED,
+         "surface": {"kind": "RandomWaveTorus", "delta": 1.0},
+         "geodesic": {"q": [1, 0], "x0": [0.0, 0.0]}}
+SCHEMA = {
+    "equidistribution": {
+        **_WAVE, "near_axis_tol": 0.05,
+        "strip": {"tau_max": 0.2, "box": None},
+        "tolerances": {"pairing_rel": 0.1, "near_axis_min": 0.8}},
+    "growth": {**_WAVE, "strip": {"tau_max": 0.3},
+               "tolerances": {"saturation": 0.05}},
+    "band-mass": {**_WAVE, "band": [0.5, 1.0], "top_band_eps": 0.2,
+                  "tolerances": {"band_abs": 0.05, "top_band_min": 0.1}},
+    "wigner": {**_WAVE, "tau_scale": 0.5, "shift": 0.5, "symbol_width": 1.0,
+               "tolerances": {"final_gap": 0.1}},
+    "qer": {**_WAVE, "band": [0.5, 1.0], "tolerances": {"ratio_abs": 0.05}},
+    "geometry": {**_COMMON, "samples": 100, "strip": {"tau_max": 0.3},
+                 "tolerances": {"isometry": 1e-12, "path_independence": 1e-8,
+                                "first_return": 1e-9}},
+    "nonperiodic-window": {**_COMMON, "lambdas": _REQUIRED,
+                           "window_width": 1.0, "strip": {"tau_max": 0.2},
+                           "tolerances": {}},
+}
+EXPERIMENTS = tuple(SCHEMA)
+
+
+def _need(cond, fieldpath, msg):
+    if not cond:
+        raise ConfigInvalid("%s: %s" % (fieldpath, msg), field=fieldpath)
+
+
+def _walk(spec, value, path):
+    """value checked against spec, with the defaults of absent keys."""
+    _need(isinstance(value, dict), path or "$", "must be a JSON object")
+    prefix = path + "." if path else ""
+    for key in value:
+        _need(key in spec, prefix + str(key), "unknown key")
+    out = {}
+    for key, default in spec.items():
+        where = prefix + key
+        if isinstance(default, dict):
+            out[key] = _walk(default, value.get(key, {}), where)
+        elif key in value:
+            what, test = _KINDS.get(key, _POSITIVE)
+            _need(test(value[key]), where, "must be " + what)
+            out[key] = value[key]
+        else:
+            _need(default is not _REQUIRED, where, "required")
+            out[key] = copy.deepcopy(default)
+    return out
+
+
+def validate_config(cfg):
+    """The config with every default filled in, checked against SCHEMA.
+
+    Raises ConfigInvalid naming the dotted path of the first field that
+    is unknown to the experiment, of the wrong type or out of domain.
+    """
+    _need(isinstance(cfg, dict), "$", "config must be a JSON object")
     name = cfg.get("experiment")
-    need(name in EXPERIMENTS, "experiment",
-         "must be one of %s" % (EXPERIMENTS,))
-    lams = cfg.get("lambdas", [])
-    need(isinstance(lams, list) and lams, "lambdas", "nonempty list required")
-    need(all(b > a for a, b in zip(lams, lams[1:])), "lambdas",
-         "must be strictly increasing")
-    need(all(l > 0 for l in lams), "lambdas", "must be positive")
-    seeds = cfg.get("seeds", [0])
-    need(isinstance(seeds, list) and seeds, "seeds", "nonempty list required")
-    surface = cfg.get("surface", {"kind": "RandomWaveTorus"})
-    need(surface.get("kind") in ("RandomWaveTorus", "Sine", "FlatTorus",
-                                 "PerturbedTorus"),
-         "surface.kind", "unknown surface kind")
-    geod = cfg.get("geodesic", {"q": [1, 0]})
-    q = geod.get("q", [1, 0])
-    need(len(q) == 2 and math.gcd(abs(int(q[0])), abs(int(q[1]))) == 1,
-         "geodesic.q", "must be a primitive integer vector")
-    strip = cfg.get("strip", {})
-    tau_max = strip.get("tau_max", 0.3)
-    need(tau_max > 0, "strip.tau_max", "must be positive")
-    factor = cfg.get("factor")
-    if factor and factor.get("kind") == "CauchyPole":
-        if abs(factor.get("p", 0.0)) <= tau_max:
-            raise ConfigInvalid(
-                "factor.p: PoleTooClose, |p| <= strip.tau_max",
-                field="factor.p")
-    return cfg
+    _need(isinstance(name, str) and name in SCHEMA, "experiment",
+          "must be one of %s" % (EXPERIMENTS,))
+    norm = _walk(SCHEMA[name], cfg, "")
+    _need(name != "geometry" or len(norm["seeds"]) == 1, "seeds",
+          "geometry runs one seed")
+    _need(name != "nonperiodic-window" or len(norm["lambdas"]) == 1,
+          "lambdas", "nonperiodic-window runs one lambda")
+    if "surface" in norm and norm["surface"]["kind"] == "Sine":
+        # sin(n t) is a fixed restriction: no wave, annulus or geodesic
+        _need(name != "qer", "surface.kind", "qer samples a random wave")
+        _need("delta" not in cfg["surface"], "surface.delta",
+              "Sine has no annulus width")
+        _need("geodesic" not in cfg, "geodesic", "Sine has no geodesic")
+        _need(all(float(lam).is_integer() for lam in norm["lambdas"]),
+              "lambdas", "Sine needs integer lambdas")
+    if name == "equidistribution":
+        strip = norm["strip"]
+        if strip["box"] is None:
+            strip["box"] = [0.0, TORUS_SIDE, -strip["tau_max"],
+                            strip["tau_max"]]
+        # laurent_roots finds no zero past tau_max
+        _need(strip["box"][3] <= strip["tau_max"], "strip.box",
+              "the box leaves the strip |tau| <= strip.tau_max")
+    return norm
 
 
 def config_hash(cfg):
@@ -100,6 +197,7 @@ class ResultRecord:
     passed: bool = True
     extra_csv: dict = field(default_factory=dict)  # filename -> text
     wall_time: float | None = None                 # manifest only
+    threads: int = 1                               # manifest only
 
     def to_json_obj(self):
         return {"experiment": self.experiment,
@@ -110,103 +208,117 @@ class ResultRecord:
                 "passed": bool(self.passed)}
 
 
+def _threads():
+    """LAB_THREADS, the number of cell threads (default 1)."""
+    value = os.environ.get("LAB_THREADS", "1")
+    if not (value.isascii() and value.isdigit() and int(value) >= 1):
+        raise ConfigInvalid("LAB_THREADS: must be a positive integer",
+                            field="LAB_THREADS")
+    return int(value)
+
+
 def _mean_se(values):
     a = np.asarray(values, dtype=float)
     se = float(np.std(a, ddof=1) / math.sqrt(len(a))) if len(a) > 1 else 0.0
     return float(np.mean(a)), se
 
 
+def _lambda_trend(rows, key, gap=lambda mean: mean):
+    """Per-lambda means of row[key], gap(mean) in lambda order, and
+    whether those gaps decrease with lambda."""
+    by_lam = {}
+    for m in rows:
+        by_lam.setdefault(m["lambda"], []).append(m[key])
+    means = {lam: _mean_se(v)[0] for lam, v in by_lam.items()}
+    gaps = [gap(v) for v in means.values()]
+    return means, gaps, all(b <= a + 1e-12 for a, b in zip(gaps, gaps[1:]))
+
+
 def _geodesic_for(cfg):
-    geod = cfg.get("geodesic", {"q": [1, 0]})
-    return torus_geodesic(tuple(geod.get("q", [1, 0])),
-                          tuple(geod.get("x0", [0.0, 0.0])))
+    geod = cfg["geodesic"]
+    return torus_geodesic(tuple(geod["q"]), tuple(geod["x0"]))
 
 
 def _spectrum_for(cfg, lam, seed):
-    surface = cfg.get("surface", {"kind": "RandomWaveTorus"})
+    surface = cfg["surface"]
     if surface["kind"] == "Sine":
         return sine_spectrum(int(lam))
-    mode = sample_random_wave(lam, surface.get("delta", 1.0), seed)
+    mode = sample_random_wave(lam, surface["delta"], seed)
     return exact_restriction_spectrum(mode, _geodesic_for(cfg))
 
 
-def _parallel_map(fn, cells):
-    threads = int(os.environ.get("LAB_THREADS", "1"))
-    if threads <= 1:
-        return [fn(c) for c in cells]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, cells))
+def _cells(cfg, rec, cell):
+    """cell(lam, seed) -> (row, keep) over every (lambda, seed) pair.
+
+    Cells run on rec.threads threads and are reduced in list order, so
+    the rows land in rec.per_seed identically for any thread count; the
+    keeps are returned in the same order.
+    """
+    pairs = [(lam, s) for lam in cfg["lambdas"] for s in cfg["seeds"]]
+    if rec.threads == 1:
+        out = [cell(*c) for c in pairs]
+    else:
+        with ThreadPoolExecutor(max_workers=rec.threads) as pool:
+            out = list(pool.map(lambda c: cell(*c), pairs))
+    rec.per_seed = [row for row, _ in out]
+    return [keep for _, keep in out]
 
 
 # ----------------------------------------------------------- experiments
 
 def _run_equidistribution(cfg, rec):
-    strip = cfg.get("strip", {})
-    tau_max = strip.get("tau_max", 0.2)
-    box = strip.get("box", [0.0, TORUS_SIDE, -tau_max, tau_max])
-    near = cfg.get("near_axis_tol", 0.05)
+    tau_max, box = cfg["strip"]["tau_max"], cfg["strip"]["box"]
     f = BoxIndicator(box[0], box[1], box[3])
 
-    def cell(c):
-        lam, seed = c
+    def cell(lam, seed):
         spec = _spectrum_for(cfg, lam, seed)
         zs = laurent_roots(spec, tau_max)
         pairing, ref = empirical_measure_pairing(zs, f)
         return {"lambda": lam, "seed": seed,
                 "count_over_lambda": zs.count(tuple(box)) / lam,
                 "pairing": pairing, "reference": ref,
-                "near_axis_fraction": zs.real_axis_fraction(near)}, zs
+                "near_axis_fraction":
+                    zs.real_axis_fraction(cfg["near_axis_tol"])}, zs
 
-    cells = [(lam, s) for lam in cfg["lambdas"] for s in cfg.get("seeds", [0])]
-    out = _parallel_map(cell, cells)
-    rec.per_seed = [m for m, _ in out]
     lines = ["t,tau,multiplicity"]
-    for _, zs in out:
+    for zs in _cells(cfg, rec, cell):
         lines.extend(zs.to_csv().splitlines()[1:])
     rec.extra_csv["zeros.csv"] = "\n".join(lines) + "\n"
 
     mean_pair, se = _mean_se([m["pairing"] for m in rec.per_seed])
     mean_frac, _ = _mean_se([m["near_axis_fraction"] for m in rec.per_seed])
     ref = rec.per_seed[0]["reference"]
-    tol = rec.tolerances.get("pairing_rel", 0.1)
-    frac_min = rec.tolerances.get("near_axis_min", 0.8)
+    tol = cfg["tolerances"]
     rec.aggregate = {"mean_pairing": mean_pair, "se_pairing": se,
                      "reference": ref, "mean_near_axis": mean_frac}
-    rec.passed = (abs(mean_pair - ref) <= tol * ref
-                  and mean_frac >= frac_min)
+    rec.passed = (abs(mean_pair - ref) <= tol["pairing_rel"] * ref
+                  and mean_frac >= tol["near_axis_min"])
 
 
 def _run_growth(cfg, rec):
-    tau = cfg.get("strip", {}).get("tau_max", 0.3)
-    seeds = cfg.get("seeds", [0])
+    tau = cfg["strip"]["tau_max"]
+    first = cfg["seeds"][0]
 
-    def cell(c):
-        lam, seed = c
+    def cell(lam, seed):
         spec = _spectrum_for(cfg, lam, seed)
         return {"lambda": lam, "seed": seed,
                 "l2_exponent": l2_growth_exponent(spec, tau)}, \
-            (spec if seed == seeds[0] else None)
+            (spec if seed == first else None)
 
-    cells = [(lam, s) for lam in cfg["lambdas"] for s in seeds]
-    out = _parallel_map(cell, cells)
-    rec.per_seed = [m for m, _ in out]
-    by_lam = {}
-    for m in rec.per_seed:
-        by_lam.setdefault(m["lambda"], []).append(m["l2_exponent"])
-    means = {lam: _mean_se(v)[0] for lam, v in by_lam.items()}
-    gaps = [2.0 * tau - means[lam] for lam in cfg["lambdas"]]
-    tol = rec.tolerances.get("saturation", 0.05)
+    kept = _cells(cfg, rec, cell)
+    means, gaps, decreasing = _lambda_trend(
+        rec.per_seed, "l2_exponent", lambda mean: 2.0 * tau - mean)
     rec.aggregate = {"tau": tau, "target": 2.0 * tau,
                      "mean_exponent_by_lambda":
                          {str(k): v for k, v in means.items()},
                      "gaps": gaps}
-    rec.passed = (abs(gaps[-1]) <= tol
-                  and all(b <= a + 1e-12 for a, b in zip(gaps, gaps[1:])))
+    rec.passed = (abs(gaps[-1]) <= cfg["tolerances"]["saturation"]
+                  and decreasing)
 
     # tau-sweep curves of each lambda's first seed for plotting
     taus = np.linspace(0.0, tau, 16)
     lines = ["tau,lambda,exponent"]
-    for lam, (_, spec) in zip(cfg["lambdas"], out[::len(seeds)]):
+    for lam, spec in zip(cfg["lambdas"], kept[::len(cfg["seeds"])]):
         for tv in taus:
             lines.append("%r,%r,%r" % (float(tv), float(lam),
                                        l2_growth_exponent(spec, tv)))
@@ -214,107 +326,85 @@ def _run_growth(cfg, rec):
 
 
 def _run_band_mass(cfg, rec):
-    from .fourier import band_mass
-    band = cfg.get("band", [0.5, 1.0])
-    top_eps = cfg.get("top_band_eps", 0.2)
+    band, top_eps = cfg["band"], cfg["top_band_eps"]
 
-    def cell(c):
-        lam, seed = c
+    def cell(lam, seed):
         spec = _spectrum_for(cfg, lam, seed)
         total = spec.total_mass()
         return {"lambda": lam, "seed": seed,
                 "band_ratio": band_mass(spec, band[0], band[1]) / total,
-                "top_ratio": band_mass(spec, 1.0 - top_eps, 1.0) / total}
+                "top_ratio": band_mass(spec, 1.0 - top_eps, 1.0) / total}, \
+            None
 
-    cells = [(lam, s) for lam in cfg["lambdas"] for s in cfg.get("seeds", [0])]
-    rec.per_seed = _parallel_map(cell, cells)
+    _cells(cfg, rec, cell)
     mean_ratio, se = _mean_se([m["band_ratio"] for m in rec.per_seed])
     ref = 2.0 * (math.asin(band[1]) - math.asin(band[0])) / math.pi
-    tol = rec.tolerances.get("band_abs", 0.05)
-    top_min = rec.tolerances.get("top_band_min", 0.1)
+    tol = cfg["tolerances"]
     rec.aggregate = {"mean_band_ratio": mean_ratio, "se": se,
                      "reference": ref,
                      "min_top_ratio": min(m["top_ratio"]
                                           for m in rec.per_seed)}
-    rec.passed = (abs(mean_ratio - ref) <= tol
-                  and rec.aggregate["min_top_ratio"] >= top_min)
+    rec.passed = (abs(mean_ratio - ref) <= tol["band_abs"]
+                  and rec.aggregate["min_top_ratio"] >= tol["top_band_min"])
 
 
 def _run_wigner(cfg, rec):
     # height shrinks with the eigenvalue (tau = scale / lam): at a fixed
     # height only ~1/tau orbital frequencies survive the damping so the
     # gap stalls instead of decaying with lam
-    tau_scale = cfg.get("tau_scale", 0.5)
-    shift = cfg.get("shift", 0.5)
-    width = cfg.get("symbol_width", 1.0)
-    seeds = cfg.get("seeds", [0])
+    shift = cfg["shift"]
+    first = cfg["seeds"][0]
 
-    def cell(c):
-        lam, seed = c
+    def cell(lam, seed):
         spec = _spectrum_for(cfg, lam, seed)
         interval = Interval(0.0, spec.period)
-        a = GaussianSymbol(center=interval.mid - shift / 2.0, width=width)
-        gap, deriv = translation_invariance_stat(spec, tau_scale / lam,
-                                                 interval, a, shift)
+        dens = normalized_pullback(spec, cfg["tau_scale"] / lam, interval)
+        a = GaussianSymbol(center=interval.mid - shift / 2.0,
+                           width=cfg["symbol_width"])
+        gap, deriv = translation_invariance_stat(dens, a, shift)
         return {"lambda": lam, "seed": seed, "gap": gap,
                 "derivative_pairing": deriv}, \
-            (spec if seed == seeds[0] else None)
+            (dens if seed == first else None)
 
-    cells = [(lam, s) for lam in cfg["lambdas"] for s in seeds]
-    out = _parallel_map(cell, cells)
-    rec.per_seed = [m for m, _ in out]
-    by_lam = {}
-    for m in rec.per_seed:
-        by_lam.setdefault(m["lambda"], []).append(m["gap"])
-    means = [(lam, _mean_se(v)[0]) for lam, v in sorted(by_lam.items())]
-    tol = rec.tolerances.get("final_gap", 0.1)
-    rec.aggregate = {"mean_gap_by_lambda": {str(k): v for k, v in means}}
-    gaps = [v for _, v in means]
-    rec.passed = gaps[-1] <= tol and all(b <= a + 1e-12
-                                         for a, b in zip(gaps, gaps[1:]))
-
+    kept = _cells(cfg, rec, cell)
+    means, gaps, decreasing = _lambda_trend(rec.per_seed, "gap")
+    rec.aggregate = {"mean_gap_by_lambda":
+                     {str(k): v for k, v in means.items()}}
+    rec.passed = gaps[-1] <= cfg["tolerances"]["final_gap"] and decreasing
     # density of the last lambda's first seed for plotting
-    lam = cfg["lambdas"][-1]
-    spec = out[-len(seeds)][1]
-    dens = normalized_pullback(spec, tau_scale / lam,
-                               Interval(0.0, spec.period))
-    rec.extra_csv["wigner.csv"] = dens.to_csv()
+    rec.extra_csv["wigner.csv"] = kept[-len(cfg["seeds"])].to_csv()
 
 
 def _run_qer(cfg, rec):
-    band = cfg.get("band", [0.5, 1.0])
+    band = cfg["band"]
     chi = BandCutoff(band[0], band[1])
     chi_all = BandCutoff(0.0, 1.0 + 1e-9)
 
-    def cell(c):
-        lam, seed = c
-        surface = cfg.get("surface", {"kind": "RandomWaveTorus"})
-        mode = sample_random_wave(lam, surface.get("delta", 1.0), seed)
+    def cell(lam, seed):
+        mode = sample_random_wave(lam, cfg["surface"]["delta"], seed)
         samples = sample_restriction(mode, _geodesic_for(cfg), count=4096)
         v_band, _ = qer_matrix_element(samples, SymbolDescriptor(chi=chi))
         v_all, ref_all = qer_matrix_element(samples,
                                             SymbolDescriptor(chi=chi_all))
         return {"lambda": lam, "seed": seed, "band_value": v_band,
                 "total_value": v_all, "reference_total": ref_all,
-                "ratio": v_band / v_all}
+                "ratio": v_band / v_all}, None
 
-    cells = [(lam, s) for lam in cfg["lambdas"] for s in cfg.get("seeds", [0])]
-    rec.per_seed = _parallel_map(cell, cells)
+    _cells(cfg, rec, cell)
     mean_ratio, se = _mean_se([m["ratio"] for m in rec.per_seed])
     ref = chi.limit_integral() / chi_all.limit_integral()
-    tol = rec.tolerances.get("ratio_abs", 0.05)
     rec.aggregate = {"mean_ratio": mean_ratio, "se": se, "reference": ref}
-    rec.passed = abs(mean_ratio - ref) <= tol
+    rec.passed = abs(mean_ratio - ref) <= cfg["tolerances"]["ratio_abs"]
 
 
 def _run_geometry(cfg, rec):
-    rng = np.random.default_rng(cfg.get("seeds", [0])[0])
-    tau_max = cfg.get("strip", {}).get("tau_max", 0.3)
-    n = cfg.get("samples", 100)
+    seed = cfg["seeds"][0]
+    rng = np.random.default_rng(seed)
+    tau_max = cfg["strip"]["tau_max"]
     flat = SurfaceModel("FlatTorus")
 
     worst_iso = 0.0
-    for _ in range(n):
+    for _ in range(cfg["samples"]):
         theta = rng.uniform(0, 2 * np.pi)
         st = GeodesicState((rng.uniform(0, TORUS_SIDE),
                             rng.uniform(0, TORUS_SIDE)),
@@ -339,15 +429,15 @@ def _run_geometry(cfg, rec):
         worst_ret = max(worst_ret,
                         abs(recd.time - TORUS_SIDE / abs(math.sin(theta))))
 
-    rec.per_seed = [{"seed": cfg.get("seeds", [0])[0],
+    rec.per_seed = [{"seed": seed,
                      "isometry_error": worst_iso,
                      "path_independence_gap": path_gap,
                      "first_return_error": worst_ret}]
     rec.aggregate = dict(rec.per_seed[0])
-    tol = rec.tolerances
-    rec.passed = (worst_iso <= tol.get("isometry", 1e-12)
-                  and path_gap <= tol.get("path_independence", 1e-8)
-                  and worst_ret <= tol.get("first_return", 1e-9))
+    tol = cfg["tolerances"]
+    rec.passed = (worst_iso <= tol["isometry"]
+                  and path_gap <= tol["path_independence"]
+                  and worst_ret <= tol["first_return"])
 
 
 def _bump_spectrum(lam, center, width_freq=8.0, tau_max=1.0):
@@ -361,12 +451,11 @@ def _bump_spectrum(lam, center, width_freq=8.0, tau_max=1.0):
 
 
 def _run_nonperiodic_window(cfg, rec):
-    tau = cfg.get("strip", {}).get("tau_max", 0.2)
-    lam = cfg["lambdas"][-1]
-    width = cfg.get("window_width", 1.0)
+    tau = cfg["strip"]["tau_max"]
+    width = cfg["window_width"]
     interval = Interval(2.0, 2.0 + TORUS_SIDE / 2.0)
 
-    def cell(seed):
+    def cell(lam, seed):
         rng = np.random.default_rng(seed)
         t0 = float(rng.uniform(0.0, TORUS_SIDE))
         spec = _bump_spectrum(lam, t0)
@@ -385,9 +474,9 @@ def _run_nonperiodic_window(cfg, rec):
                    and peak_err <= (dens.tgrid[1] - dens.tgrid[0]) * 1.5)
         return {"seed": seed, "bump_center": t0, "window_start": n_sel,
                 "window_error": window_err, "peak_error": peak_err,
-                "mass_exponent": expo, "ok": bool(cell_ok)}
+                "mass_exponent": expo, "ok": bool(cell_ok)}, None
 
-    rec.per_seed = _parallel_map(cell, cfg.get("seeds", [0]))
+    _cells(cfg, rec, cell)
     ok = [m["ok"] for m in rec.per_seed]
     rec.aggregate = {"success_rate": sum(ok) / len(ok)}
     rec.passed = all(ok)
@@ -403,11 +492,13 @@ _RUNNERS = {"equidistribution": _run_equidistribution,
 
 
 def run_experiment(config):
-    validate_config(config)
-    rec = ResultRecord(config["experiment"], config_hash(config),
-                       tolerances=config.get("tolerances", {}))
+    cfg = validate_config(config)
+    # results.json keeps the hash and the tolerances of the config as given
+    rec = ResultRecord(cfg["experiment"], config_hash(config),
+                       tolerances=config.get("tolerances", {}),
+                       threads=_threads())
     t0 = time.monotonic()
-    _RUNNERS[config["experiment"]](config, rec)
+    _RUNNERS[cfg["experiment"]](cfg, rec)
     rec.wall_time = time.monotonic() - t0
     return rec
 
@@ -432,7 +523,7 @@ def write_results(record, outdir):
                 "version": __version__,
                 "seeds": sorted({m["seed"] for m in record.per_seed
                                  if "seed" in m}),
-                "threads": int(os.environ.get("LAB_THREADS", "1")),
+                "threads": record.threads,
                 "wall_time": record.wall_time}
     with open(os.path.join(outdir, "manifest.json"), "w") as fh:
         json.dump(manifest, fh, sort_keys=True, indent=2)
@@ -446,47 +537,49 @@ def write_results(record, outdir):
 def _read_csv(path):
     with open(path) as fh:
         rows = list(csv.reader(fh))
-    return rows[0], [[float(v) for v in r] for r in rows[1:] if r]
+    return [[float(v) for v in r] for r in rows[1:] if r]
+
+
+def _draw_zeros(fig, rows):
+    fig.scatter([r[0] for r in rows], [r[1] for r in rows], label="zeros")
+    fig.hline(0.0, label="real axis")
+
+
+def _draw_growth(fig, rows):
+    by_lam = {}
+    for tau, lam, e in rows:
+        by_lam.setdefault(lam, []).append((tau, e))
+    for lam, pts in sorted(by_lam.items()):
+        pts.sort()
+        fig.line([p[0] for p in pts], [p[1] for p in pts],
+                 label="lambda=%g" % lam)
+
+
+def _draw_wigner(fig, rows):
+    fig.line([r[0] for r in rows], [r[1] for r in rows], label="density")
+
+
+# raw CSV, SVG, title, axis labels, how to draw its rows
+_PLOTS = (("zeros.csv", "zero-scatter.svg",
+           "Zeros of the continued restriction", "t", "tau", _draw_zeros),
+          ("growth_curves.csv", "growth.svg", "L2 growth exponent vs tau",
+           "tau", "exponent", _draw_growth),
+          ("wigner.csv", "wigner.svg", "Normalized Wigner density",
+           "t", "|U|^2", _draw_wigner))
 
 
 def emit_plots(outdir):
     """Render SVG plots from the raw CSVs present in a results directory."""
     made = []
-    zpath = os.path.join(outdir, "zeros.csv")
-    if os.path.exists(zpath):
-        _, rows = _read_csv(zpath)
-        fig = Figure("Zeros of the continued restriction", "t", "tau")
+    for csv_name, svg_name, title, xlabel, ylabel, draw in _PLOTS:
+        src = os.path.join(outdir, csv_name)
+        if not os.path.exists(src):
+            continue
+        fig = Figure(title, xlabel, ylabel)
+        rows = _read_csv(src)
         if rows:
-            fig.scatter([r[0] for r in rows], [r[1] for r in rows],
-                        label="zeros")
-            fig.hline(0.0, label="real axis")
-        path = os.path.join(outdir, "zero-scatter.svg")
-        with open(path, "w") as fh:
-            fh.write(fig.render())
-        made.append(path)
-    gpath = os.path.join(outdir, "growth_curves.csv")
-    if os.path.exists(gpath):
-        _, rows = _read_csv(gpath)
-        fig = Figure("L2 growth exponent vs tau", "tau", "exponent")
-        by_lam = {}
-        for tau, lam, e in rows:
-            by_lam.setdefault(lam, []).append((tau, e))
-        for lam, pts in sorted(by_lam.items()):
-            pts.sort()
-            fig.line([p[0] for p in pts], [p[1] for p in pts],
-                     label="lambda=%g" % lam)
-        path = os.path.join(outdir, "growth.svg")
-        with open(path, "w") as fh:
-            fh.write(fig.render())
-        made.append(path)
-    wpath = os.path.join(outdir, "wigner.csv")
-    if os.path.exists(wpath):
-        _, rows = _read_csv(wpath)
-        fig = Figure("Normalized Wigner density", "t", "|U|^2")
-        if rows:
-            fig.line([r[0] for r in rows], [r[1] for r in rows],
-                     label="density")
-        path = os.path.join(outdir, "wigner.svg")
+            draw(fig, rows)
+        path = os.path.join(outdir, svg_name)
         with open(path, "w") as fh:
             fh.write(fig.render())
         made.append(path)

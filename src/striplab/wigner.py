@@ -176,35 +176,29 @@ def normalized_pullback(spectrum, tau, interval, tgrid=None):
                          cert)
 
 
-def _check_support(symbol, interval):
-    lo, hi = symbol.support
-    if not interval.contains(lo, hi):
-        raise SupportLeak("symbol support [%g, %g] leaves the interval"
-                          % (lo, hi))
-
-
 def wigner_pairing(density, symbol):
     """int a(t) |U|^2 dt for a multiplication symbol supported in I."""
-    _check_support(symbol, density.interval)
+    lo, hi = symbol.support
+    if not density.interval.contains(lo, hi):
+        raise SupportLeak("symbol support [%g, %g] leaves the interval"
+                          % (lo, hi))
     return float(np.trapezoid(symbol(density.tgrid) * density.samples,
                               density.tgrid))
 
 
-def translation_invariance_stat(spectrum, tau, interval, symbol, shift):
+def translation_invariance_stat(density, symbol, shift):
     """Translation-invariance defect of the Wigner pairing.
 
-    Returns (gap, derivative_pairing): the gap is
-    |int (a(t - s) - a(t)) |U|^2 dt| and the derivative pairing is
+    Returns (gap, derivative_pairing) for a normalized density: the gap
+    is |int (a(t - s) - a(t)) |U|^2 dt| and the derivative pairing is
     |int a'(t) |U|^2 dt|, the s -> 0+ rate; both vanish for constant
     |U|^2 and decay along high-frequency families.
     """
-    _check_support(symbol, interval)
     shifted = symbol.shifted(shift)
-    _check_support(shifted, interval)
-    dens = normalized_pullback(spectrum, tau, interval)
-    gap = abs(wigner_pairing(dens, shifted) - wigner_pairing(dens, symbol))
-    deriv = abs(float(np.trapezoid(symbol.derivative(dens.tgrid)
-                                   * dens.samples, dens.tgrid)))
+    gap = abs(wigner_pairing(density, shifted)
+              - wigner_pairing(density, symbol))
+    deriv = abs(float(np.trapezoid(symbol.derivative(density.tgrid)
+                                   * density.samples, density.tgrid)))
     return gap, deriv
 
 

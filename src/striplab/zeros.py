@@ -120,7 +120,8 @@ def laurent_roots(spectrum, tau_max, cluster_tol=1e-9):
                 break
         else:
             zs.append((z, 1))
-    zs.sort(key=lambda p: (p[0].real, p[0].imag))
+    # the two zeros of a conjugate pair share t only up to rounding
+    zs.sort(key=lambda p: (round(p[0].real / tol), p[0].imag))
     return ZeroSet(zs, L, spectrum.lam, tau_max,
                    conditioning_warning=warn)
 

@@ -3,14 +3,16 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from striplab import (BandCutoff, SymbolDescriptor, qer_matrix_element,
                       sample_random_wave, sample_restriction, torus_geodesic)
 from striplab.cli import main as cli_main
 from striplab.errors import ConfigInvalid
-from striplab.experiments import (config_hash, emit_plots, run_experiment,
-                                  validate_config, write_results)
+from striplab.experiments import (SCHEMA, config_hash, emit_plots,
+                                  run_experiment, validate_config,
+                                  write_results)
 
 SMALL_BAND = {"experiment": "band-mass", "lambdas": [40, 60],
               "seeds": [0, 1], "surface": {"kind": "RandomWaveTorus",
@@ -18,22 +20,104 @@ SMALL_BAND = {"experiment": "band-mass", "lambdas": [40, 60],
               "tolerances": {"band_abs": 0.3, "top_band_min": 0.0}}
 
 
-def test_validate_config_field_paths():
+def test_validate_config_field_paths(tmp_path):
+    growth = {"experiment": "growth", "lambdas": [10]}
+    sine = dict(growth, surface={"kind": "Sine"})
+    box = {"experiment": "equidistribution", "lambdas": [10]}
     cases = [({}, "experiment"),
              ({"experiment": "bogus"}, "experiment"),
              ({"experiment": "growth", "lambdas": []}, "lambdas"),
              ({"experiment": "growth", "lambdas": [3, 2]}, "lambdas"),
+             ({"experiment": "growth", "lambdas": ["a", "b"]}, "lambdas"),
              ({"experiment": "growth", "lambdas": [10],
                "geodesic": {"q": [2, 4]}}, "geodesic.q"),
+             (dict(growth, geodesic={"q": ["x", 1]}), "geodesic.q"),
              ({"experiment": "growth", "lambdas": [10],
                "strip": {"tau_max": -1}}, "strip.tau_max"),
+             (dict(growth, strip={"tau_max": True}), "strip.tau_max"),
+             (dict(growth, seeds=["a"]), "seeds"),
+             (dict(growth, surface="Sine"), "surface"),
+             # no runner reads a factor: the key itself is unknown
              ({"experiment": "growth", "lambdas": [10],
                "factor": {"kind": "CauchyPole", "p": 0.1},
-               "strip": {"tau_max": 0.3}}, "factor.p")]
+               "strip": {"tau_max": 0.3}}, "factor"),
+             (dict(growth, surface={"kind": "FlatTorus"}), "surface.kind"),
+             (dict(growth, surface={"kind": "PerturbedTorus"}),
+              "surface.kind"),
+             (dict(growth, tolerancse={"saturation": 1.0}), "tolerancse"),
+             (dict(SMALL_BAND, tolerances={"band_ab": 0.3}),
+              "tolerances.band_ab"),
+             ({"experiment": "qer", "lambdas": [10],
+               "surface": {"kind": "Sine"}}, "surface.kind"),
+             (dict(sine, lambdas=[10.5]), "lambdas"),
+             (dict(sine, surface={"kind": "Sine", "delta": 1.0}),
+              "surface.delta"),
+             (dict(sine, geodesic={"q": [1, 0]}), "geodesic"),
+             ({"experiment": "geometry", "lambdas": [10]}, "lambdas"),
+             ({"experiment": "geometry", "surface": {}}, "surface"),
+             ({"experiment": "geometry", "geodesic": {}}, "geodesic"),
+             ({"experiment": "geometry", "seeds": [0, 1]}, "seeds"),
+             ({"experiment": "nonperiodic-window", "lambdas": [60, 80]},
+              "lambdas"),
+             (dict(box, strip={"box": [0.0, 6.0, -0.1, 0.2]}), "strip.box"),
+             (dict(box, strip={"tau_max": 0.2, "box": [0.0, 6.0, -0.3, 0.3]}),
+              "strip.box")]
+    path = tmp_path / "cfg.json"
     for cfg, fieldpath in cases:
         with pytest.raises(ConfigInvalid) as err:
             validate_config(cfg)
         assert err.value.field == fieldpath, cfg
+        path.write_text(json.dumps(cfg))
+        assert cli_main(["validate", str(path)]) == 2, cfg
+        assert cli_main(["run", str(path), "-o", str(tmp_path / "o")]) == 2
+    assert not (tmp_path / "o").exists()
+
+
+# one tiny config of each experiment, plus the Sine surface
+TINY = [{"experiment": "equidistribution", "lambdas": [20]},
+        {"experiment": "growth", "lambdas": [20, 40]},
+        {"experiment": "growth", "lambdas": [10, 20],
+         "surface": {"kind": "Sine"}},
+        {"experiment": "band-mass", "lambdas": [20], "seeds": [0, 1]},
+        {"experiment": "wigner", "lambdas": [20, 40],
+         "geodesic": {"q": [1, 1]}},
+        {"experiment": "qer", "lambdas": [20]},
+        {"experiment": "geometry", "samples": 10},
+        {"experiment": "nonperiodic-window", "lambdas": [60],
+         "seeds": [0, 1]}]
+
+
+@pytest.mark.parametrize("cfg", TINY, ids=lambda c: c["experiment"])
+def test_every_experiment_validates_and_runs(cfg, tmp_path):
+    norm = validate_config(cfg)
+    assert set(norm) == set(SCHEMA[cfg["experiment"]])
+    rec = run_experiment(cfg)
+    assert rec.experiment == cfg["experiment"] and rec.per_seed
+    assert rec.inputs_hash == config_hash(cfg)
+    write_results(rec, str(tmp_path))
+    with open(tmp_path / "results.json") as fh:
+        assert json.load(fh)["passed"] in (True, False)
+
+
+def test_shipped_configs_validate():
+    root = os.path.join(os.path.dirname(__file__), os.pardir, "demos",
+                        "configs")
+    names = sorted(os.listdir(root))
+    assert names
+    for name in names:
+        with open(os.path.join(root, name)) as fh:
+            validate_config(json.load(fh))
+
+
+def test_schema_holds_the_runners_defaults():
+    # equidistribution and nonperiodic-window have always run at tau_max
+    # 0.2, growth and geometry at 0.3; the box is the whole strip
+    norms = {c["experiment"]: validate_config(c) for c in TINY}
+    assert {name: n["strip"]["tau_max"] for name, n in norms.items()
+            if "strip" in n} == {"equidistribution": 0.2, "growth": 0.3,
+                                 "geometry": 0.3, "nonperiodic-window": 0.2}
+    assert norms["equidistribution"]["strip"]["box"] == [0.0, 2 * np.pi,
+                                                         -0.2, 0.2]
 
 
 def test_qer_samples_along_the_configured_geodesic():
@@ -104,7 +188,7 @@ def test_cli_round_trip(tmp_path):
     assert svg.startswith("<svg") and "lambda=30" in svg
 
 
-def test_cli_error_exit_codes(tmp_path):
+def test_cli_error_exit_codes(tmp_path, monkeypatch):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     assert cli_main(["validate", str(bad)]) == 2
@@ -114,6 +198,12 @@ def test_cli_error_exit_codes(tmp_path):
     invalid.write_text(json.dumps({"experiment": "nope"}))
     assert cli_main(["validate", str(invalid)]) == 2
     assert cli_main(["plot", str(tmp_path)]) == 2   # no CSVs: MissingData
+    band = tmp_path / "band.json"
+    band.write_text(json.dumps(SMALL_BAND))
+    for threads in ("abc", "0", "-1", "1.5", ""):
+        monkeypatch.setenv("LAB_THREADS", threads)
+        assert cli_main(["run", str(band), "-o", str(tmp_path / "o")]) == 2
+    assert not (tmp_path / "o").exists()
 
 
 def test_cli_tolerance_failure_exits_one(tmp_path):

@@ -42,7 +42,8 @@ def test_single_frequency_gap_is_zero():
     spec = OrbitalSpectrum(30.0, L, {30: 0.7 - 0.2j})
     interval = Interval(0.0, L)
     a = GaussianSymbol(center=interval.mid - 0.25, width=0.5)
-    gap, deriv = translation_invariance_stat(spec, 0.1, interval, a, 0.5)
+    dens = normalized_pullback(spec, 0.1, interval)
+    gap, deriv = translation_invariance_stat(dens, a, 0.5)
     assert gap < 1e-13
     # the derivative pairing only vanishes up to the symbol's boundary tail
     assert deriv < 1e-6
@@ -53,7 +54,8 @@ def test_support_leak_detected():
     interval = Interval(0.0, spec.period)
     wide = GaussianSymbol(center=interval.mid, width=2.0)
     with pytest.raises(SupportLeak):
-        translation_invariance_stat(spec, 0.1, interval, wide, 0.5)
+        translation_invariance_stat(normalized_pullback(spec, 0.1, interval),
+                                    wide, 0.5)
 
 
 def test_hann_symbol_partition():

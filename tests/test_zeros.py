@@ -1,3 +1,6 @@
+import io
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -34,6 +37,18 @@ def test_zeros_are_actual_zeros():
     for z, _ in zs.zeros:
         assert abs(continue_periodic_grid(spec, z.real, z.imag)[0, 0]) \
             < 1e-8 * scale
+
+
+def test_zero_rows_keep_their_order_under_rounding():
+    # the zeros of a conjugate pair share t only up to rounding; a
+    # last-digit change of the coefficients must not swap their rows
+    spec = exact_restriction_spectrum(sample_random_wave(30.0, 1.0, 0),
+                                      torus_geodesic((1, 0)))
+    scaled = replace(spec, coeffs=spec.coeffs * (1 + 1e-13))
+    rows = [np.loadtxt(io.StringIO(laurent_roots(s, tau_max=0.3).to_csv()),
+                       delimiter=",", skiprows=1) for s in (spec, scaled)]
+    assert rows[0].shape == rows[1].shape
+    assert np.max(np.abs(rows[0] - rows[1])) < 1e-12
 
 
 def test_real_restriction_zeros_conjugate_symmetric():
