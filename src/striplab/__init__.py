@@ -10,8 +10,8 @@ __version__ = "0.1.0"
 
 from . import errors
 from .surfaces import (Eigenmode, GeodesicState, SurfaceModel,
-                       annulus_lattice_points, evaluate_mode,
-                       evaluate_mode_grid, make_torus_mode,
+                       annulus_lattice_points, evaluate_mode_grid,
+                       make_torus_mode,
                        sample_random_wave, sphere_equator_spectrum,
                        torus_geodesic)
 from .geodesics import (HorizontalSection, ReturnRecord,

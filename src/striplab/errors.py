@@ -11,10 +11,6 @@ class EmptyWindow(StripLabError):
     """No lattice point in the requested spectral annulus."""
 
 
-class SurfaceMismatch(StripLabError):
-    pass
-
-
 class OrderOutOfRange(StripLabError):
     pass
 

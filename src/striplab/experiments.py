@@ -179,6 +179,14 @@ def validate_config(cfg):
         # laurent_roots finds no zero past tau_max
         _need(strip["box"][3] <= strip["tau_max"], "strip.box",
               "the box leaves the strip |tau| <= strip.tau_max")
+    if name == "wigner":
+        _wigner_symbol(norm)
+    if name == "nonperiodic-window":
+        try:   # a width select_window takes on the runner's scan grid
+            select_window(_WINDOW_TGRID, np.zeros_like(_WINDOW_TGRID), 1.0,
+                          norm["window_width"])
+        except ValueError as exc:
+            raise ConfigInvalid("window_width: %s" % exc, field="window_width")
     return norm
 
 
@@ -245,6 +253,20 @@ def _spectrum_for(cfg, lam, seed):
         return sine_spectrum(int(lam))
     mode = sample_random_wave(lam, surface["delta"], seed)
     return exact_restriction_spectrum(mode, _geodesic_for(cfg))
+
+
+def _wigner_symbol(cfg):
+    """The period interval of a wigner cell and its Gaussian symbol,
+    centred so that the symbol and its shift straddle the midpoint;
+    ConfigInvalid when either support leaves the interval."""
+    interval = Interval(0.0, _geodesic_for(cfg).period)
+    a = GaussianSymbol(center=interval.mid - cfg["shift"] / 2.0,
+                       width=cfg["symbol_width"])
+    for s in (a, a.shifted(cfg["shift"])):
+        _need(interval.contains(*s.support), "symbol_width",
+              "the symbol support [%g, %g] leaves the period [0, %g]"
+              % (*s.support, interval.hi))
+    return interval, a
 
 
 def _cells(cfg, rec, cell):
@@ -352,16 +374,13 @@ def _run_wigner(cfg, rec):
     # height shrinks with the eigenvalue (tau = scale / lam): at a fixed
     # height only ~1/tau orbital frequencies survive the damping so the
     # gap stalls instead of decaying with lam
-    shift = cfg["shift"]
+    interval, a = _wigner_symbol(cfg)
     first = cfg["seeds"][0]
 
     def cell(lam, seed):
         spec = _spectrum_for(cfg, lam, seed)
-        interval = Interval(0.0, spec.period)
         dens = normalized_pullback(spec, cfg["tau_scale"] / lam, interval)
-        a = GaussianSymbol(center=interval.mid - shift / 2.0,
-                           width=cfg["symbol_width"])
-        gap, deriv = translation_invariance_stat(dens, a, shift)
+        gap, deriv = translation_invariance_stat(dens, a, cfg["shift"])
         return {"lambda": lam, "seed": seed, "gap": gap,
                 "derivative_pairing": deriv}, \
             (dens if seed == first else None)
@@ -450,6 +469,10 @@ def _bump_spectrum(lam, center, width_freq=8.0, tau_max=1.0):
     return OrbitalSpectrum(float(lam), TORUS_SIDE, entries, tau_max=tau_max)
 
 
+# one period and 700 steps past it, so a window straddling the seam can win
+_WINDOW_TGRID = np.arange(4096 + 700) * (TORUS_SIDE / 4096)
+
+
 def _run_nonperiodic_window(cfg, rec):
     tau = cfg["strip"]["tau_max"]
     width = cfg["window_width"]
@@ -459,11 +482,9 @@ def _run_nonperiodic_window(cfg, rec):
         rng = np.random.default_rng(seed)
         t0 = float(rng.uniform(0.0, TORUS_SIDE))
         spec = _bump_spectrum(lam, t0)
-        # extend past one period so a window straddling the seam can win
-        tgrid = np.arange(4096 + 700) * (TORUS_SIDE / 4096)
-        vals = continue_periodic_grid(spec, tgrid, [tau])[0]
-        n_sel, expo = select_window(tgrid, vals, lam, width)
-        dt = tgrid[1] - tgrid[0]
+        vals = continue_periodic_grid(spec, _WINDOW_TGRID, [tau])[0]
+        n_sel, expo = select_window(_WINDOW_TGRID, vals, lam, width)
+        dt = _WINDOW_TGRID[1] - _WINDOW_TGRID[0]
         window_err = abs((n_sel + width / 2.0 - t0 + np.pi) % TORUS_SIDE
                          - np.pi)
         shift = t0 - interval.mid
@@ -493,9 +514,10 @@ _RUNNERS = {"equidistribution": _run_equidistribution,
 
 def run_experiment(config):
     cfg = validate_config(config)
-    # results.json keeps the hash and the tolerances of the config as given
+    # results.json keeps the hash of the config as given and the
+    # tolerances, defaults included, that judged the run
     rec = ResultRecord(cfg["experiment"], config_hash(config),
-                       tolerances=config.get("tolerances", {}),
+                       tolerances=cfg["tolerances"],
                        threads=_threads())
     t0 = time.monotonic()
     _RUNNERS[cfg["experiment"]](cfg, rec)

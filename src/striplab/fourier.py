@@ -202,8 +202,7 @@ def exact_restriction_spectrum(mode, state, tau_max=1.0):
     """
     if state.q is None:
         raise ValueError("exact spectrum needs a periodic lattice direction")
-    n = np.array([n for n, _ in mode.terms])
-    c = np.array([c for _, c in mode.terms], dtype=complex)
+    n, c = mode.ns, mode.coeffs.copy()
     k = n[:, 0] * state.q[0] + n[:, 1] * state.q[1]
     c *= np.exp(1j * (n[:, 0] * state.x[0] + n[:, 1] * state.x[1]))
     coeffs = np.zeros(k.max() - k.min() + 1, dtype=complex)

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import StartOffSection, StepTooLarge, StripExit, SurfaceMismatch
-from .surfaces import TORUS_SIDE, GeodesicState, SurfaceModel
+from .errors import StartOffSection, StepTooLarge, StripExit
+from .surfaces import TORUS_SIDE, GeodesicState
 
 
 def flat_complex_geodesic(state, z):
@@ -70,8 +70,6 @@ def integrate_complex_geodesic(surface, state, path, step,
     (Richardson) and StepTooLarge is raised when it exceeds tol per unit
     path length.  For the flat torus this reproduces flat_complex_geodesic.
     """
-    if not surface.is_torus:
-        raise SurfaceMismatch("complex flow implemented for torus metrics")
     path = [complex(z) for z in path]
     if path[0] != 0:
         raise ValueError("path must start at 0")
@@ -139,12 +137,7 @@ NO_RETURN = ReturnRecord(None, None, None)
 
 def _real_flow_step(surface, y, h):
     """One RK4 step of the real geodesic flow, y = (x1, x2, v1, v2)."""
-    u = y.astype(complex)
-    k1 = h * _rhs(surface, u)
-    k2 = h * _rhs(surface, u + 0.5 * k1)
-    k3 = h * _rhs(surface, u + 0.5 * k2)
-    k4 = h * _rhs(surface, u + k3)
-    return (u + (k1 + 2 * k2 + 2 * k3 + k4) / 6.0).real
+    return _rk4_segment(surface, y.astype(complex), h, 1).real
 
 
 def first_return(surface, section, start, horizon, step=0.01):

@@ -12,11 +12,11 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import EmptyWindow, OrderOutOfRange, SurfaceMismatch
+from .errors import EmptyWindow, OrderOutOfRange
 
 TORUS_SIDE = 2.0 * np.pi
 TORUS_VOLUME = TORUS_SIDE ** 2
@@ -24,34 +24,22 @@ TORUS_VOLUME = TORUS_SIDE ** 2
 
 @dataclass(frozen=True)
 class SurfaceModel:
-    """Descriptor of a model surface.
+    """Descriptor of a torus metric.
 
-    kind is one of FlatTorus, RandomWaveTorus, SphereEquator, PerturbedTorus.
-    perturbation entries are (lattice vector m, amplitude, phase) defining
-    the conformal factor a(x) = sum amp * cos(<m, x> + phase).
+    kind is FlatTorus or PerturbedTorus.  perturbation entries are
+    (lattice vector m, amplitude, phase) defining the conformal factor
+    a(x) = sum amp * cos(<m, x> + phase).
     """
 
     kind: str
     perturbation: tuple = ()
-    degree: int | None = None
-    order: int | None = None
 
     def __post_init__(self):
-        if self.kind not in ("FlatTorus", "RandomWaveTorus", "SphereEquator",
-                             "PerturbedTorus"):
+        if self.kind not in ("FlatTorus", "PerturbedTorus"):
             raise ValueError("unknown surface kind %r" % self.kind)
         total = sum(abs(a) for _, a, _ in self.perturbation)
         if total >= 1.0:
             raise ValueError("perturbation amplitudes must sum below 1")
-        if self.kind == "SphereEquator":
-            if self.degree is None or self.order is None:
-                raise ValueError("sphere surface needs degree and order")
-            if abs(self.order) > self.degree:
-                raise OrderOutOfRange("|m| > l")
-
-    @property
-    def is_torus(self):
-        return self.kind in ("FlatTorus", "RandomWaveTorus", "PerturbedTorus")
 
     def conformal_factor(self, x):
         """a(x) for PerturbedTorus; zero elsewhere. Accepts complex x."""
@@ -71,40 +59,44 @@ class SurfaceModel:
         return g
 
 
-FLAT_TORUS = SurfaceModel("FlatTorus")
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Eigenmode:
-    """Finite combination of torus lattice modes sum c_n e^{i<n,x>}."""
+    """Finite combination of flat torus lattice modes sum c_n e^{i<n,x>}.
 
-    surface: SurfaceModel
+    ns is a (K, 2) integer array of distinct lattice vectors in
+    lexicographic order and coeffs the K complex coefficients c_n.
+    """
+
     lam: float
-    terms: tuple            # ((n1, n2), complex coefficient) pairs
+    ns: np.ndarray
+    coeffs: np.ndarray
     delta: float = 0.0      # half-width of the spectral window around lam
     seed: int | None = None
 
     @property
+    def terms(self):
+        """Read-only ((n1, n2), c_n) pairs of ns and coeffs."""
+        return tuple(zip(map(tuple, self.ns.tolist()), self.coeffs.tolist()))
+
+    @property
     def normalization(self):
         """Squared L^2(M) norm, = sum |c_n|^2 * vol(M)."""
-        return sum(abs(c) ** 2 for _, c in self.terms) * TORUS_VOLUME
+        return float(np.sum(np.abs(self.coeffs) ** 2)) * TORUS_VOLUME
 
     @property
     def is_real(self):
-        coeffs = {n: c for n, c in self.terms}
-        for n, c in self.terms:
-            neg = (-n[0], -n[1])
-            if neg not in coeffs or abs(coeffs[neg] - np.conj(c)) > 1e-12 * (1 + abs(c)):
-                return False
-        return True
+        """c_{-n} = conj(c_n) for every n.  Negation reverses the
+        lexicographic order, so -n sits at the mirrored index."""
+        c = self.coeffs
+        return (np.array_equal(self.ns[::-1], -self.ns)
+                and bool(np.all(np.abs(c[::-1] - np.conj(c))
+                                <= 1e-12 * (1 + np.abs(c)))))
 
     def to_json(self):
         obj = {
-            "surface": self.surface.kind,
             "lambda": self.lam,
             "delta": self.delta,
-            "terms": [[int(n[0]), int(n[1]), c.real, c.imag]
-                      for n, c in self.terms],
+            "terms": [[n1, n2, c.real, c.imag] for (n1, n2), c in self.terms],
         }
         if self.seed is not None:
             obj["seed"] = self.seed
@@ -113,9 +105,9 @@ class Eigenmode:
     @staticmethod
     def from_json(text):
         obj = json.loads(text)
-        terms = tuple(((int(t[0]), int(t[1])), complex(t[2], t[3]))
-                      for t in obj["terms"])
-        return Eigenmode(SurfaceModel(obj["surface"]), obj["lambda"], terms,
+        t = np.array(obj["terms"], dtype=float).reshape(-1, 4)
+        return Eigenmode(obj["lambda"], t[:, :2].astype(int),
+                         t[:, 2] + 1j * t[:, 3],
                          delta=obj.get("delta", 0.0), seed=obj.get("seed"))
 
 
@@ -161,23 +153,36 @@ def torus_geodesic(q, x0=(0.0, 0.0)):
                          period=TORUS_SIDE * qn, q=(int(q[0]), int(q[1])))
 
 
-def make_torus_mode(n, coefficient=1.0 + 0.0j, surface=FLAT_TORUS):
+def make_torus_mode(n, coefficient=1.0 + 0.0j):
     """Single lattice mode c e^{i<n,x>} with eigenvalue |n|."""
     n = (int(n[0]), int(n[1]))
-    return Eigenmode(surface, math.hypot(*n), ((n, complex(coefficient)),))
+    return Eigenmode(math.hypot(*n), np.array([n]),
+                     np.array([complex(coefficient)]))
 
 
 def annulus_lattice_points(lam, delta):
-    """All integer points with lam - delta <= |n| <= lam + delta."""
-    lo2, hi2 = max(0.0, lam - delta) ** 2, (lam + delta) ** 2
-    r = int(math.floor(lam + delta))
-    pts = []
+    """All integer points with lam - delta <= |n| <= lam + delta.
+
+    A (K, 2) array in lexicographic order.  Each row n1 holds one or two
+    runs of n2, whose ends come from integer square roots of the bounds
+    on n2^2; the runs are expanded in one pass.
+    """
+    lo2 = math.ceil(max(0.0, lam - delta) ** 2)
+    hi2 = math.floor((lam + delta) ** 2)
+    r = min(math.floor(lam + delta), math.isqrt(hi2))
+    runs = []               # (n1, first n2, length) in lexicographic order
     for n1 in range(-r, r + 1):
-        for n2 in range(-r, r + 1):
-            s = n1 * n1 + n2 * n2
-            if lo2 <= s <= hi2:
-                pts.append((n1, n2))
-    return pts
+        top, bottom = hi2 - n1 * n1, lo2 - n1 * n1
+        hi = min(math.isqrt(top), r)
+        lo = math.isqrt(bottom - 1) + 1 if bottom > 0 else 0
+        if lo <= hi:
+            runs.append((n1, -hi, hi - lo + 1))                 # -hi .. -lo
+            runs.append((n1, max(lo, 1), hi - max(lo, 1) + 1))  # lo .. hi
+    n1, first, length = np.array(runs, dtype=int).reshape(-1, 3).T
+    offset = np.arange(length.sum()) - np.repeat(np.cumsum(length) - length,
+                                                 length)
+    return np.column_stack([np.repeat(n1, length),
+                            np.repeat(first, length) + offset])
 
 
 def sample_random_wave(lam, delta, seed):
@@ -187,25 +192,19 @@ def sample_random_wave(lam, delta, seed):
     symmetry enforced, then a global rescaling to unit L^2(M) norm.
     Deterministic in seed.
     """
-    pts = annulus_lattice_points(lam, delta)
-    if not pts:
+    ns = annulus_lattice_points(lam, delta)
+    if len(ns) == 0:
         raise EmptyWindow("no lattice point with %g <= |n| <= %g"
                           % (lam - delta, lam + delta))
-    reps = [p for p in pts if p[0] > 0 or (p[0] == 0 and p[1] >= 0)]
-    rng = np.random.default_rng(seed)
-    coeffs = {}
-    for p in sorted(reps):
-        if p == (0, 0):
-            coeffs[p] = complex(rng.standard_normal(), 0.0)
-            continue
-        c = complex(rng.standard_normal(), rng.standard_normal()) / math.sqrt(2)
-        coeffs[p] = c
-        coeffs[(-p[0], -p[1])] = np.conj(c)
-    total = sum(abs(c) ** 2 for c in coeffs.values())
-    scale = 1.0 / math.sqrt(total * TORUS_VOLUME)
-    terms = tuple((n, coeffs[n] * scale) for n in sorted(coeffs))
-    return Eigenmode(SurfaceModel("RandomWaveTorus"), lam, terms,
-                     delta=delta, seed=seed)
+    # the annulus is symmetric under n -> -n, so (0, 0) is the only
+    # unpaired point; the upper half of ns starts with it if present
+    origin = len(ns) % 2
+    z = np.random.default_rng(seed).standard_normal(len(ns))
+    pairs = z[origin:].reshape(-1, 2) / math.sqrt(2)    # (re, im) rows
+    upper = np.concatenate([z[:origin], pairs[:, 0] + 1j * pairs[:, 1]])
+    coeffs = np.concatenate([np.conj(upper[origin:][::-1]), upper])
+    wave = Eigenmode(lam, ns, coeffs, delta=delta, seed=seed)
+    return replace(wave, coeffs=coeffs / math.sqrt(wave.normalization))
 
 
 def _equator_harmonic_value(l, m):
@@ -251,21 +250,11 @@ def sphere_equator_spectrum(l, m):
     return OrbitalSpectrum(float(l), TORUS_SIDE, {m: complex(val)})
 
 
-def evaluate_mode(mode, point):
-    """Value of a torus mode at a real surface point."""
-    if not mode.surface.is_torus:
-        raise SurfaceMismatch("pointwise evaluation needs a torus mode")
-    x1, x2 = point
-    return sum(c * np.exp(1j * (n[0] * x1 + n[1] * x2)) for n, c in mode.terms)
-
-
 def evaluate_mode_grid(mode, x1, x2):
-    """Vectorized evaluate_mode over broadcast coordinate arrays."""
-    if not mode.surface.is_torus:
-        raise SurfaceMismatch("pointwise evaluation needs a torus mode")
+    """sum c_n e^{i<n,x>} over broadcast coordinate arrays or scalars."""
     x1 = np.asarray(x1, dtype=float)
     x2 = np.asarray(x2, dtype=float)
     out = np.zeros(np.broadcast(x1, x2).shape, dtype=complex)
-    for n, c in mode.terms:
-        out += c * np.exp(1j * (n[0] * x1 + n[1] * x2))
+    for (n1, n2), c in mode.terms:
+        out += c * np.exp(1j * (n1 * x1 + n2 * x2))
     return out

@@ -24,6 +24,7 @@ def test_validate_config_field_paths(tmp_path):
     growth = {"experiment": "growth", "lambdas": [10]}
     sine = dict(growth, surface={"kind": "Sine"})
     box = {"experiment": "equidistribution", "lambdas": [10]}
+    window = {"experiment": "nonperiodic-window", "lambdas": [60]}
     cases = [({}, "experiment"),
              ({"experiment": "bogus"}, "experiment"),
              ({"experiment": "growth", "lambdas": []}, "lambdas"),
@@ -61,7 +62,12 @@ def test_validate_config_field_paths(tmp_path):
               "lambdas"),
              (dict(box, strip={"box": [0.0, 6.0, -0.1, 0.2]}), "strip.box"),
              (dict(box, strip={"tau_max": 0.2, "box": [0.0, 6.0, -0.3, 0.3]}),
-              "strip.box")]
+              "strip.box"),
+             # a window of no grid step, or one spanning the whole grid
+             (dict(window, window_width=100.0), "window_width"),
+             (dict(window, window_width=1e-4), "window_width"),
+             # on q=(1,0) the symbol and its shift leave [0, 2 pi]
+             ({"experiment": "wigner", "lambdas": [20, 40]}, "symbol_width")]
     path = tmp_path / "cfg.json"
     for cfg, fieldpath in cases:
         with pytest.raises(ConfigInvalid) as err:
@@ -107,6 +113,25 @@ def test_shipped_configs_validate():
     for name in names:
         with open(os.path.join(root, name)) as fh:
             validate_config(json.load(fh))
+
+
+def test_narrow_symbols_and_wide_windows_run():
+    # close to the edges that validation draws, the runners still run
+    for cfg in ({"experiment": "wigner", "lambdas": [20],
+                 "symbol_width": 0.3},
+                {"experiment": "nonperiodic-window", "lambdas": [60],
+                 "window_width": 7.0}):
+        assert run_experiment(cfg).per_seed
+
+
+def test_results_record_the_default_tolerances(tmp_path):
+    cfg = {k: v for k, v in SMALL_BAND.items() if k != "tolerances"}
+    for given in ({}, {"tolerances": {"band_abs": 0.3}}):
+        write_results(run_experiment({**cfg, **given}), str(tmp_path))
+        with open(tmp_path / "results.json") as fh:
+            assert json.load(fh)["tolerances"] == {
+                **SCHEMA["band-mass"]["tolerances"],
+                **given.get("tolerances", {})}
 
 
 def test_schema_holds_the_runners_defaults():
@@ -215,8 +240,10 @@ def test_cli_tolerance_failure_exits_one(tmp_path):
 
 
 def test_console_script_installed():
+    # the child imports striplab from where this process does
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     proc = subprocess.run([sys.executable, "-m", "striplab.cli"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=env)
     assert proc.returncode == 2
 
 

@@ -1,13 +1,14 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from striplab import (Eigenmode, GeodesicState, SurfaceModel,
-                      annulus_lattice_points, evaluate_mode,
+                      annulus_lattice_points, evaluate_mode_grid,
                       make_torus_mode, sample_random_wave,
                       sphere_equator_spectrum, torus_geodesic)
-from striplab.errors import EmptyWindow, OrderOutOfRange, SurfaceMismatch
+from striplab.errors import EmptyWindow, OrderOutOfRange
 from striplab.surfaces import TORUS_SIDE, TORUS_VOLUME
 
 
@@ -35,12 +36,19 @@ def test_advance_wraps_basepoint():
     assert moved.period == st.period
 
 
-def test_annulus_lattice_points_brute_force():
-    # the set for lam=5, delta=0.5 from the defining inequality
-    lam, delta = 5.0, 0.5
-    expected = {(a, b) for a in range(-6, 7) for b in range(-6, 7)
-                if (lam - delta) ** 2 <= a * a + b * b <= (lam + delta) ** 2}
-    assert set(annulus_lattice_points(lam, delta)) == expected
+@pytest.mark.parametrize("lam,delta", [(5, 0.5), (5, 0), (0.5, 1),
+                                       (30.3, 0.2), (5.5, 0.01)],
+                         ids=["thin", "exact-radius", "origin", "wide",
+                              "empty"])
+def test_annulus_lattice_points_brute_force(lam, delta):
+    # every point of the defining inequality, in lexicographic order
+    r = int(lam + delta) + 1
+    expected = [(a, b) for a in range(-r, r + 1) for b in range(-r, r + 1)
+                if max(0, lam - delta) ** 2 <= a * a + b * b
+                <= (lam + delta) ** 2]
+    pts = annulus_lattice_points(lam, delta)
+    assert pts.shape == (len(expected), 2)
+    assert [tuple(p) for p in pts.tolist()] == expected
 
 
 def test_annulus_empty_window_raises():
@@ -58,10 +66,50 @@ def test_random_wave_is_deterministic_and_normalized():
     assert c.terms != a.terms
 
 
+def _scalar_draw_wave(lam, delta, seed):
+    """[(n, c_n)] of a random wave built one scalar draw at a time, with
+    the conjugate partners in a dict: the reference construction."""
+    r = int(math.floor(lam + delta))
+    lo2, hi2 = max(0.0, lam - delta) ** 2, (lam + delta) ** 2
+    reps = [(a, b) for a in range(0, r + 1) for b in range(-r, r + 1)
+            if (a > 0 or b >= 0) and lo2 <= a * a + b * b <= hi2]
+    rng = np.random.default_rng(seed)
+    coeffs = {}
+    for p in reps:
+        if p == (0, 0):
+            coeffs[p] = complex(rng.standard_normal(), 0.0)
+            continue
+        c = complex(rng.standard_normal(), rng.standard_normal())
+        c /= math.sqrt(2)
+        coeffs[p] = c
+        coeffs[(-p[0], -p[1])] = np.conj(c)
+    scale = 1.0 / math.sqrt(sum(abs(c) ** 2 for c in coeffs.values())
+                            * TORUS_VOLUME)
+    return [(n, coeffs[n] * scale) for n in sorted(coeffs)]
+
+
+@pytest.mark.parametrize("lam", [0.5, 12.0, 300.0])
+def test_random_wave_matches_scalar_draws(lam):
+    ref = _scalar_draw_wave(lam, 1.0, 5)
+    mode = sample_random_wave(lam, 1.0, 5)
+    assert [tuple(n) for n in mode.ns.tolist()] == [n for n, _ in ref]
+    c_ref = np.array([c for _, c in ref])
+    assert np.max(np.abs(mode.coeffs - c_ref) / np.abs(c_ref)) <= 1e-14
+
+
+def test_is_real_false_cases():
+    assert not make_torus_mode((2, -1), 1.0).is_real   # no partner (-2, 1)
+    wave = sample_random_wave(12.0, 0.5, 3)
+    coeffs = wave.coeffs.copy()
+    coeffs[0] += 1e-6
+    assert not replace(wave, coeffs=coeffs).is_real
+
+
 def test_random_wave_real_valued_on_grid():
     mode = sample_random_wave(12.0, 0.5, 3)
     xs = np.linspace(0, TORUS_SIDE, 17)
-    vals = np.array([evaluate_mode(mode, (x, 0.3 * x)) for x in xs])
+    vals = evaluate_mode_grid(mode, xs, 0.3 * xs)
+    assert vals.shape == xs.shape
     assert np.max(np.abs(vals.imag)) < 1e-12
 
 
@@ -75,26 +123,19 @@ def test_mode_json_round_trip():
 
 def test_single_mode_evaluation():
     mode = make_torus_mode((2, -1), 0.5j)
-    val = evaluate_mode(mode, (0.3, 0.7))
-    assert val == pytest.approx(0.5j * np.exp(1j * (2 * 0.3 - 0.7)))
+    val = evaluate_mode_grid(mode, 0.3, 0.7)
+    assert val.shape == ()
+    assert complex(val) == pytest.approx(0.5j * np.exp(1j * (2 * 0.3 - 0.7)))
     assert mode.lam == pytest.approx(math.sqrt(5))
 
 
-def test_sphere_mode_rejects_torus_evaluation():
-    sphere = SurfaceModel("SphereEquator", degree=4, order=2)
-    mode = Eigenmode(sphere, 4.0, (((0, 0), 1.0 + 0j),))
-    with pytest.raises(SurfaceMismatch):
-        evaluate_mode(mode, (0.0, 0.0))
-
-
 def test_surface_model_validation():
-    with pytest.raises(ValueError):
-        SurfaceModel("Klein")
+    for kind in ("Klein", "RandomWaveTorus", "SphereEquator"):
+        with pytest.raises(ValueError):
+            SurfaceModel(kind)
     with pytest.raises(ValueError):
         SurfaceModel("PerturbedTorus", perturbation=(((1, 0), 0.7, 0.0),
                                                      ((0, 1), 0.5, 0.0)))
-    with pytest.raises(OrderOutOfRange):
-        SurfaceModel("SphereEquator", degree=2, order=5)
 
 
 def test_conformal_factor_accepts_complex_points():
