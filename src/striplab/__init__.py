@@ -31,8 +31,7 @@ from .zeros import (BoxIndicator, CosineWindow, GaussianBump, ZeroSet,
                     argument_principle_count, empirical_measure_pairing,
                     laurent_roots, lelong_box_integral, lelong_density)
 from .wigner import (BandCutoff, GaussianSymbol, HannSymbol, Interval,
-                     SymbolDescriptor, WignerDensity,
-                     chebyshev_density_filter, moving_pullback,
+                     WignerDensity, chebyshev_density_filter, moving_pullback,
                      normalized_pullback, qer_matrix_element,
                      translation_invariance_stat, wigner_pairing)
 from .experiments import (ResultRecord, emit_plots, run_experiment,

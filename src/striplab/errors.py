@@ -89,10 +89,6 @@ class RangeExceeded(StripLabError):
     pass
 
 
-class NonSeparableSymbol(StripLabError):
-    pass
-
-
 class OffShell(StripLabError):
     pass
 

@@ -23,8 +23,7 @@ import numpy as np
 
 from . import __version__
 from .errors import ConfigInvalid, MissingData
-from .fourier import (OrbitalSpectrum, band_mass, exact_restriction_spectrum,
-                      sample_restriction)
+from .fourier import OrbitalSpectrum, band_mass, exact_restriction_spectrum
 from .geodesics import (HorizontalSection, first_return,
                         flat_complex_geodesic, flat_sqrt_rho,
                         integrate_complex_geodesic)
@@ -32,9 +31,9 @@ from .growth import continue_periodic_grid, l2_growth_exponent, select_window
 from .surfaces import (TORUS_SIDE, SurfaceModel, GeodesicState,
                        sample_random_wave, torus_geodesic)
 from .svgplot import Figure
-from .wigner import (BandCutoff, GaussianSymbol, Interval, SymbolDescriptor,
-                     moving_pullback, normalized_pullback,
-                     qer_matrix_element, translation_invariance_stat)
+from .wigner import (BandCutoff, GaussianSymbol, Interval, moving_pullback,
+                     normalized_pullback, qer_matrix_element,
+                     translation_invariance_stat)
 from .zeros import BoxIndicator, empirical_measure_pairing, laurent_roots
 
 
@@ -165,7 +164,6 @@ def validate_config(cfg):
           "lambdas", "nonperiodic-window runs one lambda")
     if "surface" in norm and norm["surface"]["kind"] == "Sine":
         # sin(n t) is a fixed restriction: no wave, annulus or geodesic
-        _need(name != "qer", "surface.kind", "qer samples a random wave")
         _need("delta" not in cfg["surface"], "surface.delta",
               "Sine has no annulus width")
         _need("geodesic" not in cfg, "geodesic", "Sine has no geodesic")
@@ -400,11 +398,9 @@ def _run_qer(cfg, rec):
     chi_all = BandCutoff(0.0, 1.0 + 1e-9)
 
     def cell(lam, seed):
-        mode = sample_random_wave(lam, cfg["surface"]["delta"], seed)
-        samples = sample_restriction(mode, _geodesic_for(cfg), count=4096)
-        v_band, _ = qer_matrix_element(samples, SymbolDescriptor(chi=chi))
-        v_all, ref_all = qer_matrix_element(samples,
-                                            SymbolDescriptor(chi=chi_all))
+        spec = _spectrum_for(cfg, lam, seed)
+        v_band, _ = qer_matrix_element(spec, chi)
+        v_all, ref_all = qer_matrix_element(spec, chi_all)
         return {"lambda": lam, "seed": seed, "band_value": v_band,
                 "total_value": v_all, "reference_total": ref_all,
                 "ratio": v_band / v_all}, None

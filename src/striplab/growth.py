@@ -53,14 +53,6 @@ class GrowthProfile:
     lam: float
     floor: float = LOG_FLOOR
 
-    def to_csv(self):
-        lines = ["t,tau,v"]
-        for i, tau in enumerate(self.strip.tau_values):
-            for j, t in enumerate(self.strip.t_values):
-                lines.append("%r,%r,%r" % (float(t), float(tau),
-                                           float(self.values[i, j])))
-        return "\n".join(lines) + "\n"
-
 
 def continue_periodic_grid(spectrum, t, tau):
     """Continuation sum nu(n) e^{2 pi i n (t + i tau) / L} on a tensor grid.

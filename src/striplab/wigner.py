@@ -3,8 +3,8 @@
 |U|^2 is the squared modulus of the continued restriction on a horizontal
 strip line, normalized to unit mass on an interval.  Its pairings with
 multiplication symbols become translation invariant in the high-frequency
-limit; the matrix elements against separable symbols are compared with
-the microlocal limit measure (1 - sigma^2)^{-1/2} ds dsigma.
+limit; the matrix elements of frequency cutoffs chi(D / lam) are compared
+with the microlocal limit measure (1 - sigma^2)^{-1/2} ds dsigma.
 """
 
 from __future__ import annotations
@@ -14,9 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (NonSeparableSymbol, RangeExceeded, SupportLeak,
-                     VanishingRestriction, ZeroEigenvalue)
-from .fourier import OrbitalSpectrum, orbital_coefficients
+from .errors import RangeExceeded, SupportLeak, VanishingRestriction
+from .fourier import OrbitalSpectrum, band_mass
 from .growth import continue_periodic_grid
 
 SPHERE_COTANGENT_VOLUME = 2.0 * np.pi * (2.0 * np.pi) ** 2   # vol(S*M), torus
@@ -108,32 +107,12 @@ class BandCutoff:
     a: float
     b: float
 
-    def __call__(self, sigma):
-        s = np.abs(np.asarray(sigma, dtype=float))
-        return ((s >= self.a) & (s <= self.b)).astype(float)
-
     def limit_integral(self):
         """int chi (1-sigma^2)^{-1/2} dsigma over [-1, 1], closed form."""
         a, b = max(self.a, 0.0), min(self.b, 1.0)
         if a >= b:
             return 0.0
         return 2.0 * (math.asin(b) - math.asin(a))
-
-
-@dataclass(frozen=True)
-class SymbolDescriptor:
-    """Separable symbol alpha(s) chi(sigma / lam); either part optional."""
-
-    alpha: object = None
-    chi: object = None
-
-    @property
-    def kind(self):
-        if self.alpha is not None and self.chi is not None:
-            return "Separable"
-        if self.chi is not None:
-            return "FrequencyCutoff"
-        return "Multiplication"
 
 
 @dataclass
@@ -218,42 +197,18 @@ def moving_pullback(spectra, tau, interval, shifts):
     return out
 
 
-def qer_matrix_element(samples, symbol):
-    """Matrix element of a separable symbol against a real restriction.
+def qer_matrix_element(spectrum, chi):
+    """Matrix element of a frequency cutoff against a periodic restriction.
 
-    value = (1/L) int alpha(t) (chi(D/lam) f)(t) conj(f(t)) dt with the
-    frequency cutoff acting as an orbital Fourier multiplier; reference =
-    (4 / vol(S*M)) int alpha ds int chi (1-sigma^2)^{-1/2} dsigma.  The
-    two are reported side by side; only ratios are convention free.
+    value = (1/L) int (chi(D/lam) f)(t) conj(f(t)) dt with the cutoff
+    acting as an orbital Fourier multiplier, which by Parseval is the
+    band mass of chi's band; reference = (4 / vol(S*M)) L int chi
+    (1-sigma^2)^{-1/2} dsigma.  The two are reported side by side; only
+    ratios are convention free.
     """
-    if samples.lam <= 0:
-        raise ZeroEigenvalue
-    if symbol.chi is None and symbol.alpha is None:
-        raise NonSeparableSymbol("need at least one separable part")
-    L = samples.period
-    if L is None:
-        raise ValueError("periodic restriction required")
-    m = len(samples.values)
-    spec = orbital_coefficients(samples, n_max=m // 4)
-    w = 2.0 * np.pi / (L * samples.lam)
-    ns, nu = spec.freqs, spec.coeffs
-    chi_weights = symbol.chi(w * ns) if symbol.chi is not None else \
-        np.ones_like(ns)
-    if symbol.alpha is None:
-        value = float(np.real(np.sum(chi_weights * np.abs(nu) ** 2)))
-        alpha_integral = L
-    else:
-        filtered = (np.exp(1j * (2 * np.pi / L) * np.outer(samples.tgrid, ns))
-                    @ (chi_weights * nu))
-        integrand = symbol.alpha(samples.tgrid) * filtered \
-            * np.conj(samples.values)
-        value = float(np.real(np.sum(integrand)) * (samples.tgrid[1]
-                                                    - samples.tgrid[0]) / L)
-        alpha_integral = symbol.alpha.integral()
-    # int over [-1, 1] of (1 - sigma^2)^{-1/2} dsigma = pi when chi == 1
-    chi_integral = symbol.chi.limit_integral() if symbol.chi is not None \
-        else math.pi
-    reference = 4.0 / SPHERE_COTANGENT_VOLUME * alpha_integral * chi_integral
+    value = band_mass(spectrum, chi.a, chi.b)
+    reference = (4.0 / SPHERE_COTANGENT_VOLUME * spectrum.period
+                 * chi.limit_integral())
     return value, reference
 
 

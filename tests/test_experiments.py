@@ -6,8 +6,8 @@ import sys
 import numpy as np
 import pytest
 
-from striplab import (BandCutoff, SymbolDescriptor, qer_matrix_element,
-                      sample_random_wave, sample_restriction, torus_geodesic)
+from striplab import (BandCutoff, exact_restriction_spectrum,
+                      qer_matrix_element, sample_random_wave, torus_geodesic)
 from striplab.cli import main as cli_main
 from striplab.errors import ConfigInvalid
 from striplab.experiments import (SCHEMA, config_hash, emit_plots,
@@ -48,8 +48,6 @@ def test_validate_config_field_paths(tmp_path):
              (dict(growth, tolerancse={"saturation": 1.0}), "tolerancse"),
              (dict(SMALL_BAND, tolerances={"band_ab": 0.3}),
               "tolerances.band_ab"),
-             ({"experiment": "qer", "lambdas": [10],
-               "surface": {"kind": "Sine"}}, "surface.kind"),
              (dict(sine, lambdas=[10.5]), "lambdas"),
              (dict(sine, surface={"kind": "Sine", "delta": 1.0}),
               "surface.delta"),
@@ -88,6 +86,7 @@ TINY = [{"experiment": "equidistribution", "lambdas": [20]},
         {"experiment": "wigner", "lambdas": [20, 40],
          "geodesic": {"q": [1, 1]}},
         {"experiment": "qer", "lambdas": [20]},
+        {"experiment": "qer", "lambdas": [20], "surface": {"kind": "Sine"}},
         {"experiment": "geometry", "samples": 10},
         {"experiment": "nonperiodic-window", "lambdas": [60],
          "seeds": [0, 1]}]
@@ -149,11 +148,27 @@ def test_qer_samples_along_the_configured_geodesic():
     cfg = {"experiment": "qer", "lambdas": [30], "seeds": [2],
            "geodesic": {"q": [1, 0], "x0": [0.3, 0.4]}, "band": [0.5, 1.0]}
     row = run_experiment(cfg).per_seed[0]
-    samples = sample_restriction(sample_random_wave(30, 1.0, 2),
-                                 torus_geodesic((1, 0), (0.3, 0.4)), count=4096)
-    band, _ = qer_matrix_element(samples,
-                                 SymbolDescriptor(chi=BandCutoff(0.5, 1.0)))
-    assert row["band_value"] == band
+    mode = sample_random_wave(30, 1.0, 2)
+    band = {x0: qer_matrix_element(
+        exact_restriction_spectrum(mode, torus_geodesic((1, 0), x0)),
+        BandCutoff(0.5, 1.0))[0] for x0 in ((0.3, 0.4), (0.0, 0.0))}
+    assert row["band_value"] == band[(0.3, 0.4)]
+    assert row["band_value"] != band[(0.0, 0.0)]
+
+
+def test_qer_reads_every_frequency_of_the_band():
+    # along q = (2, 1) the band reaches |q| lambda = 1342 > 1024
+    cfg = {"experiment": "qer", "lambdas": [600], "seeds": [0, 1, 2, 3],
+           "geodesic": {"q": [2, 1]}}
+    rec = run_experiment(cfg)
+    for row in rec.per_seed:
+        spec = exact_restriction_spectrum(
+            sample_random_wave(600, 1.0, row["seed"]), torus_geodesic((2, 1)))
+        freq = np.abs(2 * np.pi * spec.freqs / spec.period)
+        mask = (freq >= 0.5 * 600) & (freq <= 600)
+        assert row["band_value"] == pytest.approx(
+            np.sum(np.abs(spec.coeffs[mask]) ** 2), rel=1e-12)
+    assert rec.passed
 
 
 def test_config_hash_is_order_insensitive():
@@ -234,9 +249,15 @@ def test_cli_error_exit_codes(tmp_path, monkeypatch):
 def test_cli_tolerance_failure_exits_one(tmp_path):
     cfg = dict(SMALL_BAND, tolerances={"band_abs": 1e-9,
                                        "top_band_min": 0.0})
+    # sin(lambda t) has all its mass in the band: ratio 1, not 2/3
+    sine_qer = {"experiment": "qer", "lambdas": [20],
+                "surface": {"kind": "Sine"}}
     path = tmp_path / "strict.json"
-    path.write_text(json.dumps(cfg))
-    assert cli_main(["run", str(path), "-o", str(tmp_path / "o")]) == 1
+    for c in (cfg, sine_qer):
+        path.write_text(json.dumps(c))
+        assert cli_main(["run", str(path), "-o", str(tmp_path / "o")]) == 1
+    with open(tmp_path / "o" / "results.json") as fh:
+        assert json.load(fh)["aggregate"]["mean_ratio"] == 1.0
 
 
 def test_console_script_installed():

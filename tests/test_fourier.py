@@ -36,14 +36,16 @@ def test_exact_spectrum_aggregates_level_sets():
 
 def test_fft_coefficients_match_exact_spectrum():
     mode = sample_random_wave(25.0, 1.0, 5)
-    state = torus_geodesic((1, 0), (0.2, 1.3))
-    exact = exact_restriction_spectrum(mode, state)
-    samples = sample_restriction(mode, state, count=1024)
-    fft = orbital_coefficients(samples, n_max=30)
-    for n in range(-30, 31):
-        assert fft.entries[n] == pytest.approx(exact.entries.get(n, 0.0),
-                                               abs=1e-12), n
-    assert fft.parseval_defect < 1e-12
+    # off the axis, |<n, q>| <= |q| (lambda + delta) = 58.1 along (2, 1)
+    for q, n_max in (((1, 0), 30), ((2, 1), 60)):
+        state = torus_geodesic(q, (0.2, 1.3))
+        exact = exact_restriction_spectrum(mode, state)
+        samples = sample_restriction(mode, state, count=1024)
+        fft = orbital_coefficients(samples, n_max=n_max)
+        for n in range(-n_max, n_max + 1):
+            assert fft.entries[n] == pytest.approx(
+                exact.entries.get(n, 0.0), abs=1e-12), (q, n)
+        assert fft.parseval_defect < 1e-12
 
 
 def test_undersampled_raises():

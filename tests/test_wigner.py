@@ -6,14 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from striplab import (BandCutoff, GaussianSymbol, HannSymbol, Interval,
-                      OrbitalSpectrum, SymbolDescriptor,
-                      chebyshev_density_filter, moving_pullback,
-                      normalized_pullback, qer_matrix_element,
-                      sample_random_wave, sample_restriction,
-                      torus_geodesic, translation_invariance_stat,
-                      wigner_pairing)
-from striplab.errors import (NonSeparableSymbol, SupportLeak,
-                             VanishingRestriction)
+                      OrbitalSpectrum, chebyshev_density_filter,
+                      moving_pullback, normalized_pullback,
+                      qer_matrix_element, sample_random_wave,
+                      sample_restriction, torus_geodesic,
+                      translation_invariance_stat, wigner_pairing)
+from striplab.errors import SupportLeak, VanishingRestriction
 from striplab.fourier import exact_restriction_spectrum
 
 L = 2 * np.pi
@@ -78,9 +76,9 @@ def test_moving_pullback_full_period_identity():
 def test_qer_full_band_matches_parseval():
     mode = sample_random_wave(50.0, 1.0, 5)
     state = torus_geodesic((1, 0))
+    spec = exact_restriction_spectrum(mode, state)
     samples = sample_restriction(mode, state, count=1024)
-    chi_all = BandCutoff(0.0, 2.0)
-    val, ref = qer_matrix_element(samples, SymbolDescriptor(chi=chi_all))
+    val, ref = qer_matrix_element(spec, BandCutoff(0.0, 2.0))
     assert val == pytest.approx(float(np.mean(np.abs(samples.values) ** 2)),
                                 rel=1e-10)
     assert ref == pytest.approx(4.0 * L * math.pi
@@ -93,21 +91,6 @@ def test_qer_band_ratio_reference():
         2.0 * (math.asin(1.0) - math.asin(0.5)))
     assert chi.limit_integral() / BandCutoff(0.0, 1.0).limit_integral() \
         == pytest.approx(2.0 / 3.0)
-
-
-def test_qer_needs_a_separable_part():
-    mode = sample_random_wave(20.0, 1.0, 0)
-    samples = sample_restriction(mode, torus_geodesic((1, 0)), count=512)
-    with pytest.raises(NonSeparableSymbol):
-        qer_matrix_element(samples, SymbolDescriptor())
-
-
-def test_symbol_descriptor_kinds():
-    a = GaussianSymbol(0.0, 1.0)
-    chi = BandCutoff(0.0, 1.0)
-    assert SymbolDescriptor(alpha=a, chi=chi).kind == "Separable"
-    assert SymbolDescriptor(chi=chi).kind == "FrequencyCutoff"
-    assert SymbolDescriptor(alpha=a).kind == "Multiplication"
 
 
 @settings(max_examples=40, deadline=None)
