@@ -27,7 +27,7 @@ for _ in range(2000):
 print("sqrt(rho) = |tau| on 2000 random inputs, worst error %.1e" % worst)
 
 # -- path independence on a perturbed torus ---------------------------------
-pert = sl.SurfaceModel("PerturbedTorus", perturbation=(((1, 0), 0.05, 0.0),))
+pert = sl.SurfaceModel(perturbation=(((1, 0), 0.05, 0.0),))
 st = sl.torus_geodesic((1, 0), (0.3, 0.4))
 target = 1.0 + 0.1j
 a = sl.integrate_complex_geodesic(pert, st, [0, 1.0, target], step=0.02)
@@ -37,7 +37,7 @@ print("perturbed torus, two paths to %s: endpoints differ by %.1e"
 
 # -- first returns to a horizontal section ----------------------------------
 section = sl.HorizontalSection(0.0)
-flat = sl.SurfaceModel("FlatTorus")
+flat = sl.SurfaceModel()
 print("first-return times vs 2 pi / |sin theta|:")
 for theta in (np.pi / 2, np.pi / 6, 1.0):
     start = sl.GeodesicState((1.0, 0.0), (math.cos(theta), math.sin(theta)))

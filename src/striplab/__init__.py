@@ -18,8 +18,8 @@ from .geodesics import (HorizontalSection, ReturnRecord,
                         asymmetry_diagnostic, first_return,
                         flat_complex_geodesic, flat_sqrt_rho,
                         integrate_complex_geodesic, reflect_state)
-from .fourier import (CauchyFactor, GaussianFactor, OrbitalSpectrum,
-                      RestrictionSamples, WindowedSpectrum, band_mass,
+from .fourier import (GaussianFactor, OrbitalSpectrum, RestrictionSamples,
+                      WindowedSpectrum, band_mass,
                       exact_restriction_spectrum, orbital_coefficients,
                       paley_wiener_check, plancherel_check,
                       sample_arc, sample_restriction, windowed_transform)
@@ -30,8 +30,8 @@ from .growth import (GrowthProfile, Strip, check_growth_bound,
 from .zeros import (BoxIndicator, CosineWindow, GaussianBump, ZeroSet,
                     argument_principle_count, empirical_measure_pairing,
                     laurent_roots, lelong_box_integral, lelong_density)
-from .wigner import (BandCutoff, GaussianSymbol, HannSymbol, Interval,
-                     WignerDensity, chebyshev_density_filter, moving_pullback,
+from .wigner import (BandCutoff, GaussianSymbol, Interval, WignerDensity,
+                     chebyshev_density_filter, moving_pullback,
                      normalized_pullback, qer_matrix_element,
                      translation_invariance_stat, wigner_pairing)
 from .experiments import (ResultRecord, emit_plots, run_experiment,

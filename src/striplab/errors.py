@@ -39,10 +39,6 @@ class Undersampled(StripLabError):
     pass
 
 
-class PoleTooClose(StripLabError):
-    pass
-
-
 class WindowTooShort(StripLabError):
     pass
 

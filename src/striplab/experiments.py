@@ -169,6 +169,13 @@ def validate_config(cfg):
         _need("geodesic" not in cfg, "geodesic", "Sine has no geodesic")
         _need(all(float(lam).is_integer() for lam in norm["lambdas"]),
               "lambdas", "Sine needs integer lambdas")
+    # the runners' spectra keep OrbitalSpectrum's default tau_max, and
+    # continuing one past it raises StripExceeded mid-run (growth's
+    # Parseval exponent does not continue, so it has no bound)
+    tau_bound = OrbitalSpectrum.tau_max
+    if name in ("equidistribution", "nonperiodic-window"):
+        _need(norm["strip"]["tau_max"] <= tau_bound, "strip.tau_max",
+              "must be at most the spectra's tau_max %g" % tau_bound)
     if name == "equidistribution":
         strip = norm["strip"]
         if strip["box"] is None:
@@ -178,6 +185,9 @@ def validate_config(cfg):
         _need(strip["box"][3] <= strip["tau_max"], "strip.box",
               "the box leaves the strip |tau| <= strip.tau_max")
     if name == "wigner":
+        _need(norm["tau_scale"] / norm["lambdas"][0] <= tau_bound,
+              "tau_scale", "tau_scale / lambdas[0] must be at most the "
+              "spectra's tau_max %g" % tau_bound)
         _wigner_symbol(norm)
     if name == "nonperiodic-window":
         try:   # a width select_window takes on the runner's scan grid
@@ -204,14 +214,6 @@ class ResultRecord:
     extra_csv: dict = field(default_factory=dict)  # filename -> text
     wall_time: float | None = None                 # manifest only
     threads: int = 1                               # manifest only
-
-    def to_json_obj(self):
-        return {"experiment": self.experiment,
-                "inputs_hash": self.inputs_hash,
-                "per_seed": self.per_seed,
-                "aggregate": self.aggregate,
-                "tolerances": self.tolerances,
-                "passed": bool(self.passed)}
 
 
 def _threads():
@@ -416,7 +418,7 @@ def _run_geometry(cfg, rec):
     seed = cfg["seeds"][0]
     rng = np.random.default_rng(seed)
     tau_max = cfg["strip"]["tau_max"]
-    flat = SurfaceModel("FlatTorus")
+    flat = SurfaceModel()
 
     worst_iso = 0.0
     for _ in range(cfg["samples"]):
@@ -428,8 +430,7 @@ def _run_geometry(cfg, rec):
         zeta = flat_complex_geodesic(st, z)
         worst_iso = max(worst_iso, abs(flat_sqrt_rho(zeta) - abs(z.imag)))
 
-    pert = SurfaceModel("PerturbedTorus",
-                        perturbation=(((1, 0), 0.05, 0.0),))
+    pert = SurfaceModel(perturbation=(((1, 0), 0.05, 0.0),))
     st = torus_geodesic((1, 0), (0.3, 0.4))
     target = 1.0 + 0.1j
     ends = [integrate_complex_geodesic(pert, st, p, step=0.02)
@@ -455,14 +456,15 @@ def _run_geometry(cfg, rec):
                   and worst_ret <= tol["first_return"])
 
 
-def _bump_spectrum(lam, center, width_freq=8.0, tau_max=1.0):
-    """Periodic wave packet: Gaussian frequency profile centered at -lam."""
+def _bump_spectrum(lam, center):
+    """Periodic wave packet: Gaussian frequency profile of width 8
+    centered at -lam."""
     entries = {}
     k0 = -int(lam)
     for k in range(k0 - 40, k0 + 41):
-        amp = math.exp(-0.5 * ((k - k0) / width_freq) ** 2)
+        amp = math.exp(-0.5 * ((k - k0) / 8.0) ** 2)
         entries[k] = amp * np.exp(-1j * k * center)
-    return OrbitalSpectrum(float(lam), TORUS_SIDE, entries, tau_max=tau_max)
+    return OrbitalSpectrum(float(lam), TORUS_SIDE, entries)
 
 
 # one period and 700 steps past it, so a window straddling the seam can win
@@ -526,8 +528,14 @@ def run_experiment(config):
 def write_results(record, outdir):
     """Write results.json, metrics.csv, manifest.json and raw CSVs."""
     os.makedirs(outdir, exist_ok=True)
+    results = {"experiment": record.experiment,
+               "inputs_hash": record.inputs_hash,
+               "per_seed": record.per_seed,
+               "aggregate": record.aggregate,
+               "tolerances": record.tolerances,
+               "passed": bool(record.passed)}
     with open(os.path.join(outdir, "results.json"), "w") as fh:
-        json.dump(record.to_json_obj(), fh, sort_keys=True, indent=2)
+        json.dump(results, fh, sort_keys=True, indent=2)
         fh.write("\n")
     with open(os.path.join(outdir, "metrics.csv"), "w", newline="") as fh:
         if record.per_seed:

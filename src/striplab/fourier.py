@@ -16,9 +16,8 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .errors import (PoleTooClose, Undersampled, WindowTooShort,
-                     ZeroEigenvalue)
-from .surfaces import TORUS_SIDE, evaluate_mode_grid
+from .errors import Undersampled, WindowTooShort, ZeroEigenvalue
+from .surfaces import evaluate_mode_grid
 
 
 @dataclass(frozen=True)
@@ -32,23 +31,6 @@ class GaussianFactor:
         return np.exp(-0.5 * np.asarray(z, dtype=complex) ** 2)
 
     name = "Gaussian"
-
-
-@dataclass(frozen=True)
-class CauchyFactor:
-    """Convergence factor 1/(t + i p); analytic in |Im t| < |p|."""
-
-    p: float
-
-    def __call__(self, t):
-        return 1.0 / (np.asarray(t, dtype=complex) + 1j * self.p)
-
-    def continuation(self, z):
-        return 1.0 / (np.asarray(z, dtype=complex) + 1j * self.p)
-
-    @property
-    def name(self):
-        return "CauchyPole(%g)" % self.p
 
 
 @dataclass(eq=False)
@@ -159,12 +141,10 @@ class WindowedSpectrum:
 class RestrictionSamples:
     """Uniform samples of phi(gamma(t)); power-of-two count for the FFT."""
 
-    state: object
     tgrid: np.ndarray
     values: np.ndarray
     lam: float
     period: float | None = None
-    mode_id: str = ""
 
 
 def sample_restriction(mode, state, count=1024):
@@ -177,8 +157,7 @@ def sample_restriction(mode, state, count=1024):
     x1 = state.x[0] + t * state.xi[0]
     x2 = state.x[1] + t * state.xi[1]
     vals = evaluate_mode_grid(mode, x1, x2)
-    return RestrictionSamples(state, t, vals, mode.lam, period=state.period,
-                              mode_id="seed=%s" % mode.seed)
+    return RestrictionSamples(t, vals, mode.lam, period=state.period)
 
 
 def sample_arc(mode, state, half_length, count=4096):
@@ -189,11 +168,10 @@ def sample_arc(mode, state, half_length, count=4096):
     x1 = state.x[0] + t * state.xi[0]
     x2 = state.x[1] + t * state.xi[1]
     vals = evaluate_mode_grid(mode, x1, x2)
-    return RestrictionSamples(state, t, vals, mode.lam,
-                              mode_id="seed=%s" % mode.seed)
+    return RestrictionSamples(t, vals, mode.lam)
 
 
-def exact_restriction_spectrum(mode, state, tau_max=1.0):
+def exact_restriction_spectrum(mode, state):
     """Exact orbital spectrum of a lattice mode along direction q.
 
     The restriction of e^{i<n,x>} to x0 + t q/|q| is a pure exponential
@@ -207,11 +185,11 @@ def exact_restriction_spectrum(mode, state, tau_max=1.0):
     c *= np.exp(1j * (n[:, 0] * state.x[0] + n[:, 1] * state.x[1]))
     coeffs = np.zeros(k.max() - k.min() + 1, dtype=complex)
     np.add.at(coeffs, k - k.min(), c)
-    return OrbitalSpectrum(mode.lam, state.period, tau_max=tau_max,
-                           n_min=int(k.min()), coeffs=coeffs)
+    return OrbitalSpectrum(mode.lam, state.period, n_min=int(k.min()),
+                           coeffs=coeffs)
 
 
-def orbital_coefficients(samples, n_max, tau_max=1.0):
+def orbital_coefficients(samples, n_max):
     """Orbital Fourier coefficients for |n| <= n_max from one period.
 
     The uniform-grid quadrature of (1/L) int f e^{-2 pi i n t/L} is the
@@ -227,28 +205,22 @@ def orbital_coefficients(samples, n_max, tau_max=1.0):
     coeffs = coeff[np.arange(-n_max, n_max + 1) % m]
     mean_sq = float(np.mean(np.abs(samples.values) ** 2))
     defect = abs(float(np.sum(np.abs(coeffs) ** 2)) - mean_sq)
-    return OrbitalSpectrum(samples.lam, samples.period, tau_max=tau_max,
-                           n_min=-n_max, coeffs=coeffs,
-                           parseval_defect=defect)
+    return OrbitalSpectrum(samples.lam, samples.period, n_min=-n_max,
+                           coeffs=coeffs, parseval_defect=defect)
 
 
 def windowed_transform(samples, factor, sigma_grid):
     """nu^G(sigma) = int G(t) f(t) e^{-i t sigma} dt on a uniform grid.
 
     Trapezoidal quadrature over the sampled arc [-T, T]; the Gaussian
-    factor must be below 1e-12 at the endpoints, the Cauchy pole must sit
-    outside the strip.  Truncation and spacing are recorded on the result.
+    factor must be below 1e-12 at the endpoints.  Truncation and spacing
+    are recorded on the result.
     """
     t = samples.tgrid
     T = float(t[-1])
-    if isinstance(factor, CauchyFactor):
-        if abs(factor.p) <= 1e-12:
-            raise PoleTooClose("pole at 0")
-        trunc = 1.0 / abs(T + 1j * factor.p)
-    else:
-        trunc = float(np.exp(-0.5 * T * T))
-        if trunc > 1e-12:
-            raise WindowTooShort("|G(T)| = %.3g > 1e-12" % trunc)
+    trunc = float(np.exp(-0.5 * T * T))
+    if trunc > 1e-12:
+        raise WindowTooShort("|G(T)| = %.3g > 1e-12" % trunc)
     g = np.asarray(factor(t)) * samples.values
     dt = t[1] - t[0]
     sigma = np.asarray(sigma_grid, dtype=float)

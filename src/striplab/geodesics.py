@@ -111,9 +111,6 @@ class HorizontalSection:
     def coordinate(self, x):
         return float(np.real(x[0]) % TORUS_SIDE)
 
-    def to_json_obj(self):
-        return {"kind": "horizontal", "c": self.c}
-
 
 @dataclass(frozen=True)
 class ReturnRecord:
@@ -124,12 +121,6 @@ class ReturnRecord:
     @property
     def returned(self):
         return self.time is not None
-
-    def to_json_obj(self):
-        if not self.returned:
-            return {"time": None}
-        return {"time": self.time, "s": self.section_coordinate,
-                "x": list(self.state.x), "xi": list(self.state.xi)}
 
 
 NO_RETURN = ReturnRecord(None, None, None)

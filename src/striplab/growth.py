@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import (ContinuationOverflow, EmptySpectrum, GridTooCoarse,
                      OffShell, StripExceeded, ZeroEigenvalue)
-from .fourier import OrbitalSpectrum, exact_restriction_spectrum
+from .fourier import OrbitalSpectrum
 from .geodesics import flat_sqrt_rho
 
 LOG_FLOOR = -50.0
@@ -51,7 +51,6 @@ class GrowthProfile:
     strip: Strip
     values: np.ndarray      # shape (ntau, nt)
     lam: float
-    floor: float = LOG_FLOOR
 
 
 def continue_periodic_grid(spectrum, t, tau):
@@ -152,21 +151,16 @@ def l2_growth_exponent(spectrum, tau):
     return (line - base) / spectrum.lam
 
 
-def sup_growth_exponent(source, state=None, tau=0.3, tgrid=None):
+def sup_growth_exponent(spectrum, tau=0.3):
     """(1/lam) log of the sup of |f^C| on the tau lines over the real sup.
 
-    source is an Eigenmode (with a periodic state) or an OrbitalSpectrum.
-    Measured on both boundary lines +-tau relative to the real-axis sup,
-    so a single-frequency restriction gives exactly |tau| * |n|/lam.
+    Measured on a 4096-point period grid on both boundary lines +-tau
+    relative to the real-axis sup, so a single-frequency restriction
+    gives exactly |tau| * |n|/lam.
     """
-    if isinstance(source, OrbitalSpectrum):
-        spectrum = source
-    else:
-        spectrum = exact_restriction_spectrum(source, state)
     if spectrum.lam <= 0:
         raise ZeroEigenvalue
-    if tgrid is None:
-        tgrid = np.linspace(0.0, spectrum.period, 4096, endpoint=False)
+    tgrid = np.linspace(0.0, spectrum.period, 4096, endpoint=False)
     rows = continue_periodic_grid(spectrum, tgrid, [-abs(tau), 0.0, abs(tau)])
     sup_strip = float(np.max(np.abs(rows[[0, 2], :])))
     sup_real = float(np.max(np.abs(rows[1, :])))

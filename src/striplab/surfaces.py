@@ -24,25 +24,22 @@ TORUS_VOLUME = TORUS_SIDE ** 2
 
 @dataclass(frozen=True)
 class SurfaceModel:
-    """Descriptor of a torus metric.
+    """Descriptor of a torus metric e^{2a} |dx|^2.
 
-    kind is FlatTorus or PerturbedTorus.  perturbation entries are
-    (lattice vector m, amplitude, phase) defining the conformal factor
-    a(x) = sum amp * cos(<m, x> + phase).
+    perturbation entries are (lattice vector m, amplitude, phase) defining
+    the conformal factor a(x) = sum amp * cos(<m, x> + phase); with none
+    the torus is flat.
     """
 
-    kind: str
     perturbation: tuple = ()
 
     def __post_init__(self):
-        if self.kind not in ("FlatTorus", "PerturbedTorus"):
-            raise ValueError("unknown surface kind %r" % self.kind)
         total = sum(abs(a) for _, a, _ in self.perturbation)
         if total >= 1.0:
             raise ValueError("perturbation amplitudes must sum below 1")
 
     def conformal_factor(self, x):
-        """a(x) for PerturbedTorus; zero elsewhere. Accepts complex x."""
+        """a(x), zero on the flat torus. Accepts complex x."""
         x = np.asarray(x)
         a = np.zeros(x.shape[:-1], dtype=complex)
         for m, amp, phase in self.perturbation:

@@ -58,46 +58,12 @@ class GaussianSymbol:
         u = (np.asarray(t) - self.center) / self.width
         return -u / self.width * np.exp(-0.5 * u * u)
 
-    def integral(self):
-        return self.width * math.sqrt(2.0 * math.pi)
-
     @property
     def support(self):
         return (self.center - 3 * self.width, self.center + 3 * self.width)
 
     def shifted(self, s):
         return GaussianSymbol(self.center + s, self.width)
-
-
-@dataclass(frozen=True)
-class HannSymbol:
-    """Raised cosine on [lo, hi]; compactly supported, C^1."""
-
-    lo: float
-    hi: float
-
-    def __call__(self, t):
-        t = np.asarray(t)
-        u = (t - self.lo) / (self.hi - self.lo)
-        inside = (u >= 0) & (u <= 1)
-        return np.where(inside, 0.5 * (1 - np.cos(2 * np.pi * u)), 0.0)
-
-    def derivative(self, t):
-        t = np.asarray(t)
-        w = self.hi - self.lo
-        u = (t - self.lo) / w
-        inside = (u >= 0) & (u <= 1)
-        return np.where(inside, np.pi / w * np.sin(2 * np.pi * u), 0.0)
-
-    def integral(self):
-        return 0.5 * (self.hi - self.lo)
-
-    @property
-    def support(self):
-        return (self.lo, self.hi)
-
-    def shifted(self, s):
-        return HannSymbol(self.lo + s, self.hi + s)
 
 
 @dataclass(frozen=True)
@@ -142,10 +108,9 @@ def _grid_for(interval, lam, points_per_wavelength=16):
     return np.linspace(interval.lo, interval.hi, n + 1)
 
 
-def normalized_pullback(spectrum, tau, interval, tgrid=None):
+def normalized_pullback(spectrum, tau, interval):
     """|U|^2 on the interval at height tau, unit trapezoidal mass."""
-    if tgrid is None:
-        tgrid = _grid_for(interval, spectrum.lam)
+    tgrid = _grid_for(interval, spectrum.lam)
     f = continue_periodic_grid(spectrum, tgrid, [tau])[0]
     mag2 = np.abs(f) ** 2
     cert = float(np.trapezoid(mag2, tgrid))

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import BoundaryZero, DegenerateSpectrum
+from .errors import BoundaryZero, DegenerateSpectrum, StripExceeded
 from .growth import continue_periodic_grid
 
 
@@ -27,8 +27,6 @@ class ZeroSet:
     period: float
     lam: float
     tau_max: float
-    method: str = "Companion"
-    source: str = ""
     conditioning_warning: bool = False
 
     def count(self, box=None):
@@ -82,10 +80,14 @@ def laurent_roots(spectrum, tau_max, cluster_tol=1e-9):
     clearing the pole at 0; companion-matrix roots in the closed annulus
     e^{-2 pi tau_max / L} <= |z| <= e^{2 pi tau_max / L} map back to
     t + i tau and are Newton polished.  Count over the full annulus of
-    analyticity is exactly the polynomial degree.
+    analyticity is exactly the polynomial degree.  Raises StripExceeded
+    when tau_max is beyond the spectrum's tau_max.
     """
     if not len(spectrum.coeffs):
         raise DegenerateSpectrum("zero polynomial")
+    if tau_max > spectrum.tau_max:
+        raise StripExceeded("tau_max=%g beyond %g"
+                            % (tau_max, spectrum.tau_max))
     L = spectrum.period
     roots = np.roots(spectrum.coeffs[::-1])     # descending powers of z
 
@@ -178,21 +180,16 @@ def empirical_measure_pairing(zeroset, f):
 
 @dataclass(frozen=True)
 class BoxIndicator:
-    """Indicator of [t0, t1] x [-tau0, tau0], optional edge smoothing."""
+    """Indicator of [t0, t1] x [-tau0, tau0]."""
 
     t0: float
     t1: float
     tau0: float
-    smoothing: float = 0.0
 
     def __call__(self, z):
         if abs(z.imag) > self.tau0:
             return 0.0
-        if self.smoothing == 0.0:
-            return 1.0 if self.t0 <= z.real <= self.t1 else 0.0
-        lo = 0.5 * (1 + math.erf((z.real - self.t0) / self.smoothing))
-        hi = 0.5 * (1 + math.erf((self.t1 - z.real) / self.smoothing))
-        return lo * hi
+        return 1.0 if self.t0 <= z.real <= self.t1 else 0.0
 
     def reference(self):
         return (self.t1 - self.t0) / math.pi

@@ -125,7 +125,7 @@ def test_criterion_05_band_mass(ensemble300):
 def test_criterion_06_plancherel(state10):
     mu, tau, T = 10.0, 0.2, 7.5
     t = np.linspace(-T, T, 4096)
-    single = RestrictionSamples(state10, t, np.exp(1j * mu * t), lam=mu)
+    single = RestrictionSamples(t, np.exp(1j * mu * t), lam=mu)
     sigma = np.linspace(-mu - 8, mu + 8, 801)
     _, _, gap1 = sl.plancherel_check(single, GaussianFactor(), tau, sigma,
                                      np.linspace(-T, T, 1024))
@@ -214,8 +214,7 @@ def test_criterion_10_geometry():
         z = complex(rng.uniform(-20, 20), rng.uniform(-0.5, 0.5))
         zeta = sl.flat_complex_geodesic(st, z)
         worst = max(worst, abs(sl.flat_sqrt_rho(zeta) - abs(z.imag)))
-    pert = sl.SurfaceModel("PerturbedTorus",
-                           perturbation=(((1, 0), 0.05, 0.0),))
+    pert = sl.SurfaceModel(perturbation=(((1, 0), 0.05, 0.0),))
     st = sl.torus_geodesic((1, 0), (0.3, 0.4))
     target = 1.0 + 0.1j
     ends = [sl.integrate_complex_geodesic(pert, st, p, step=0.02)
@@ -226,7 +225,7 @@ def test_criterion_10_geometry():
     for theta in (np.pi / 2, np.pi / 6, 1.0, 2.0):
         st = sl.GeodesicState((1.0, 0.0), (math.cos(theta),
                                            math.sin(theta)))
-        rec = sl.first_return(sl.SurfaceModel("FlatTorus"), section, st,
+        rec = sl.first_return(sl.SurfaceModel(), section, st,
                               horizon=30.0, step=0.2)
         ret_err = max(ret_err, abs(rec.time - L / abs(math.sin(theta))))
     ok = worst <= 1e-12 and path_gap <= 1e-8 and ret_err <= 1e-9

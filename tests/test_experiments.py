@@ -65,7 +65,12 @@ def test_validate_config_field_paths(tmp_path):
              (dict(window, window_width=100.0), "window_width"),
              (dict(window, window_width=1e-4), "window_width"),
              # on q=(1,0) the symbol and its shift leave [0, 2 pi]
-             ({"experiment": "wigner", "lambdas": [20, 40]}, "symbol_width")]
+             ({"experiment": "wigner", "lambdas": [20, 40]}, "symbol_width"),
+             # strips past the spectra's tau_max (1.0)
+             (dict(box, strip={"tau_max": 3.0}), "strip.tau_max"),
+             (dict(window, strip={"tau_max": 1.5}), "strip.tau_max"),
+             ({"experiment": "wigner", "lambdas": [20, 40],
+               "geodesic": {"q": [1, 1]}, "tau_scale": 30.0}, "tau_scale")]
     path = tmp_path / "cfg.json"
     for cfg, fieldpath in cases:
         with pytest.raises(ConfigInvalid) as err:
@@ -266,6 +271,21 @@ def test_console_script_installed():
     proc = subprocess.run([sys.executable, "-m", "striplab.cli"],
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 2
+
+
+# wigner_invariance.py (about 26 s) is left out: criterion 08 and
+# test_every_experiment_validates_and_runs cover the calls it makes
+@pytest.mark.parametrize("script", ["geometry_checks.py",
+                                    "growth_saturation.py",
+                                    "zero_condensation.py"])
+def test_demo_runs(script, tmp_path):
+    demos = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                         os.pardir, "demos")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run([sys.executable, os.path.join(demos, script)],
+                          cwd=tmp_path, capture_output=True, text=True,
+                          env=env)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_emit_plots_requires_data(tmp_path):

@@ -138,8 +138,7 @@ def test_spectrum_json_and_csv_round_trip():
 
 def _single_freq_samples(mu, half_length=7.5, count=4096):
     t = np.linspace(-half_length, half_length, count)
-    state = torus_geodesic((1, 0))
-    return RestrictionSamples(state, t, np.exp(1j * mu * t), lam=mu)
+    return RestrictionSamples(t, np.exp(1j * mu * t), lam=mu)
 
 
 def test_windowed_transform_gaussian_closed_form():

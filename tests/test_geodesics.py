@@ -14,8 +14,8 @@ from striplab.errors import StartOffSection, StepTooLarge, StripExit
 from striplab.geodesics import NO_RETURN
 from striplab.surfaces import TORUS_SIDE
 
-FLAT = SurfaceModel("FlatTorus")
-PERT = SurfaceModel("PerturbedTorus", perturbation=(((1, 0), 0.05, 0.0),))
+FLAT = SurfaceModel()
+PERT = SurfaceModel(perturbation=(((1, 0), 0.05, 0.0),))
 
 
 def unit_state(theta, x=(0.0, 0.0)):

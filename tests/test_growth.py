@@ -148,15 +148,6 @@ def test_sup_exponent_zonal_is_zero():
                                tau=0.3) == 0.0
 
 
-def test_sup_exponent_accepts_modes():
-    mode = sample_random_wave(30.0, 1.0, 1)
-    state = torus_geodesic((1, 0))
-    spec = exact_restriction_spectrum(mode, state)
-    a = sup_growth_exponent(mode, state, tau=0.25)
-    b = sup_growth_exponent(spec, tau=0.25)
-    assert a == pytest.approx(b, rel=1e-12)
-
-
 def test_select_window_finds_concentration():
     tgrid = np.linspace(0.0, L, 2048, endpoint=False)
     center = 2.5

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from striplab import (BandCutoff, GaussianSymbol, HannSymbol, Interval,
+from striplab import (BandCutoff, GaussianSymbol, Interval,
                       OrbitalSpectrum, chebyshev_density_filter,
                       moving_pullback, normalized_pullback,
                       qer_matrix_element, sample_random_wave,
@@ -54,15 +54,6 @@ def test_support_leak_detected():
     with pytest.raises(SupportLeak):
         translation_invariance_stat(normalized_pullback(spec, 0.1, interval),
                                     wide, 0.5)
-
-
-def test_hann_symbol_partition():
-    h = HannSymbol(1.0, 3.0)
-    assert h.integral() == pytest.approx(1.0)
-    t = np.linspace(1.0, 3.0, 1001)
-    assert float(np.trapezoid(h(t), t)) == pytest.approx(1.0, abs=1e-5)
-    assert h(0.5) == 0.0 and h(3.5) == 0.0
-    assert h.shifted(2.0).support == (3.0, 5.0)
 
 
 def test_moving_pullback_full_period_identity():

@@ -11,7 +11,7 @@ from striplab import (BoxIndicator, CosineWindow, GaussianBump,
                       empirical_measure_pairing, exact_restriction_spectrum,
                       growth_profile, laurent_roots, lelong_box_integral,
                       lelong_density, sample_random_wave, torus_geodesic)
-from striplab.errors import DegenerateSpectrum
+from striplab.errors import DegenerateSpectrum, StripExceeded
 from striplab.experiments import sine_spectrum
 from striplab.growth import continue_periodic_grid
 
@@ -26,6 +26,9 @@ def test_sine_zeros_exact():
     got = sorted(z.real for z, _ in zs.zeros)
     assert got == pytest.approx([k * np.pi / n for k in range(2 * n)],
                                 abs=1e-10)
+    # no zero is sought past the strip the spectrum is continued on
+    with pytest.raises(StripExceeded):
+        laurent_roots(sine_spectrum(5), tau_max=3.0)
 
 
 def test_zeros_are_actual_zeros():
