@@ -19,6 +19,8 @@ from .fourier import OrbitalSpectrum
 from .geodesics import flat_sqrt_rho
 
 LOG_FLOOR = -50.0
+# cap on one dense (nterms x points) complex kernel block
+_DENSE_BLOCK_BYTES = 64 << 20
 
 
 @dataclass(frozen=True)
@@ -60,6 +62,15 @@ def continue_periodic_grid(spectrum, t, tau):
     points, paths and box edges are 1x1, one-row or one-column grids.
     Raises StripExceeded beyond the spectrum's tau_max and
     ContinuationOverflow where e^{2 pi |n tau| / L} leaves float64.
+
+    When t is period aligned, t = t0 + j L / m for an integer m (to a
+    few ulps) with m log2 m at most terms x points, each tau row is one
+    inverse FFT of length m: the damped coefficients times e^{i w n t0}
+    are folded by n mod m, which is exact for every m because
+    e^{2 pi i n j / m} depends only on n mod m, and point j reads bin
+    j mod m, so the closed endpoint and grids past one period need
+    nothing extra.  Every other grid takes the dense kernel in column
+    blocks of at most 64 MB.
     """
     if not len(spectrum.coeffs):
         raise EmptySpectrum("spectrum has no entries")
@@ -73,8 +84,43 @@ def continue_periodic_grid(spectrum, t, tau):
     if w * max(-ns[0], ns[-1]) * tau_top > np.log(np.finfo(float).max):
         raise ContinuationOverflow("e^{w n tau} overflows at tau=%g" % tau_top)
     damp = np.exp(-w * np.outer(tau, ns)) * vals       # (ntau, nterms)
-    osc = np.exp(1j * w * np.outer(ns, t))             # (nterms, nt)
-    return damp @ osc
+    m = _period_steps(t, spectrum.period, len(ns))
+    if m is not None:
+        return _fft_rows(damp * np.exp(1j * w * ns * t[0]),
+                         spectrum.n_min, m, len(t))
+    step = max(1, _DENSE_BLOCK_BYTES // (16 * len(ns)))
+    blocks = [damp @ np.exp(1j * w * np.outer(ns, t[j:j + step]))
+              for j in range(0, len(t), step)]
+    return blocks[0] if len(blocks) == 1 else np.hstack(blocks)
+
+
+def _period_steps(t, period, nterms):
+    """m when t = t0 + j period / m for an integer m and one inverse FFT
+    of length m costs no more than the nterms x len(t) dense kernel;
+    None otherwise.  Points may sit a few ulps off the ideal grid."""
+    if t.ndim != 1 or len(t) < 2:
+        return None
+    step = (t[-1] - t[0]) / (len(t) - 1)
+    cost = nterms * len(t)
+    # a finite step > 0 with period / step in [0.5, cost]
+    if not 0.5 * step <= period <= cost * step:
+        return None
+    m = max(1, round(period / step))
+    if m * max(1.0, math.log2(m)) > cost:
+        return None
+    ideal = t[0] + np.arange(len(t)) * (period / m)
+    tol = 8.0 * np.finfo(float).eps * max(abs(t[0]), abs(t[-1]), period)
+    return m if np.max(np.abs(t - ideal)) <= tol else None
+
+
+def _fft_rows(coeffs, n_min, m, nt):
+    """Rows of sum_k coeffs[:, k] e^{2 pi i (n_min + k) j / m}, j < nt."""
+    ntau, nterms = coeffs.shape
+    lead = n_min % m                   # n_min - lead is a multiple of m
+    folded = np.zeros((ntau, -(-(lead + nterms) // m) * m), dtype=complex)
+    folded[:, lead:lead + nterms] = coeffs
+    folded = folded.reshape(ntau, -1, m).sum(axis=1)
+    return (np.fft.ifft(folded, axis=1) * m)[:, np.arange(nt) % m]
 
 
 def continue_windowed(spectrum, z, divide_factor=False, tol=1e-6):

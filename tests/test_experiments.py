@@ -273,10 +273,9 @@ def test_console_script_installed():
     assert proc.returncode == 2
 
 
-# wigner_invariance.py (about 26 s) is left out: criterion 08 and
-# test_every_experiment_validates_and_runs cover the calls it makes
 @pytest.mark.parametrize("script", ["geometry_checks.py",
                                     "growth_saturation.py",
+                                    "wigner_invariance.py",
                                     "zero_condensation.py"])
 def test_demo_runs(script, tmp_path):
     demos = os.path.join(os.path.dirname(os.path.abspath(__file__)),

@@ -15,7 +15,7 @@ from striplab.errors import (ContinuationOverflow, EmptySpectrum,
                              GridTooCoarse, OffShell, StripExceeded,
                              ZeroEigenvalue)
 from striplab.experiments import sine_spectrum
-from striplab.growth import hartogs_dichotomy_check
+from striplab.growth import _period_steps, hartogs_dichotomy_check
 from striplab.zeros import _boundary_values
 
 L = 2 * np.pi
@@ -72,6 +72,53 @@ def test_grid_continuation_matches_scalar():
         path = _boundary_values(spec, box, n)
         ref = [_fsum_continuation(spec, z) for z in boundary]
         assert path == pytest.approx(ref, rel=1e-12)
+        # period-aligned grids t0 + j P / m take the FFT path
+        P = spec.period
+        aligned = [(np.linspace(0.0, P, 25), 24),
+                   (np.linspace(0.0, P, 24, endpoint=False), 24),
+                   (0.37 + np.arange(24) * (P / 24), 24),
+                   (np.arange(24 + 17) * (P / 24), 24),   # past one period
+                   (0.1 + np.arange(7) * (P / 3), 3)]     # m below degree
+        for ta, m in aligned:
+            assert _period_steps(ta, P, len(spec.coeffs)) == m
+            grid = continue_periodic_grid(spec, ta, tau)
+            for i, u in enumerate(tau):
+                assert grid[i] == pytest.approx(
+                    [_fsum_continuation(spec, s + 1j * u) for s in ta],
+                    rel=1e-12)
+
+
+def test_fft_and_dense_paths_agree():
+    spec = exact_restriction_spectrum(sample_random_wave(400.0, 1.0, 0),
+                                      torus_geodesic((1, 0)))
+    tau = [-0.2, 0.0, 0.5 / 400, 0.3]
+    t = np.linspace(0.0, L, 4097)
+    assert _period_steps(t, L, len(spec.coeffs)) == 4096
+    fast = continue_periodic_grid(spec, t, tau)
+    # one point off the grid sends the whole grid down the dense path
+    moved = t.copy()
+    moved[1000] += 1e-3 * L / 4096
+    assert _period_steps(moved, L, len(spec.coeffs)) is None
+    dense = continue_periodic_grid(spec, moved, tau)
+    sup = np.max(np.abs(fast), axis=1, keepdims=True)
+    keep = np.arange(len(t)) != 1000
+    assert np.all(np.abs(dense - fast)[:, keep] <= 1e-12 * sup)
+    for i, u in enumerate(tau):
+        assert dense[i, 1000] == pytest.approx(
+            _fsum_continuation(spec, moved[1000] + 1j * u), rel=1e-12)
+
+
+def test_dense_blocks_match_one_kernel(monkeypatch):
+    spec = exact_restriction_spectrum(sample_random_wave(60.0, 1.0, 3),
+                                      torus_geodesic((1, 1)))
+    t = np.sort(np.random.default_rng(1).uniform(0.0, spec.period, 301))
+    tau = [-0.3, 0.0, 0.2]
+    whole = continue_periodic_grid(spec, t, tau)
+    monkeypatch.setattr("striplab.growth._DENSE_BLOCK_BYTES",
+                        16 * len(spec.coeffs) * 7)
+    blocked = continue_periodic_grid(spec, t, tau)
+    sup = np.max(np.abs(whole), axis=1, keepdims=True)
+    assert np.all(np.abs(blocked - whole) <= 1e-14 * sup)
 
 
 def test_grid_guards_the_strip_and_float_range():

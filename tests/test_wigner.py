@@ -29,6 +29,16 @@ def test_pullback_has_unit_mass():
     assert dens.certificate > 0
 
 
+def test_pullback_at_lambda_3000():
+    # the wigner grid is period aligned, so its 67883 points cost one FFT
+    # instead of an 8489 x 67883 dense kernel
+    lam = 3000.0
+    spec = _spec(0, lam)
+    dens = normalized_pullback(spec, 0.5 / lam, Interval(0.0, spec.period))
+    assert len(dens.tgrid) == 67883
+    assert dens.integral() == pytest.approx(1.0, abs=1e-12)
+
+
 def test_vanishing_restriction_raises():
     spec = OrbitalSpectrum(5.0, L, {3: 0.0 + 1e-17j})
     with pytest.raises(VanishingRestriction):
