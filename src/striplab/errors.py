@@ -71,6 +71,10 @@ class BoundaryZero(StripLabError):
     pass
 
 
+class RootsNotConverged(StripLabError):
+    """Root iterates still moving after the sweep cap."""
+
+
 # -- Wigner statistics
 
 class VanishingRestriction(StripLabError):

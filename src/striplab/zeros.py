@@ -2,10 +2,11 @@
 
 Periodic restrictions are finite exponential sums; substituting
 z = e^{2 pi i (t + i tau)/L} turns the continuation into a Laurent
-polynomial whose roots in an annulus are found exactly via the companion
-matrix, then Newton polished.  The argument principle supplies an
-independent count, and the log-modulus Laplacian (Poincare-Lelong)
-recovers the counting measure from growth profiles.
+polynomial.  Its roots come from simultaneous Aberth-Ehrlich iteration
+(Bini 1996), O(N^2) per sweep in O(N) memory; the roots in an annulus
+are Newton polished in strip coordinates.  The argument principle
+supplies an independent count, and the log-modulus Laplacian
+(Poincare-Lelong) recovers the counting measure from growth profiles.
 """
 
 from __future__ import annotations
@@ -15,8 +16,20 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import BoundaryZero, DegenerateSpectrum, StripExceeded
+from .errors import (BoundaryZero, DegenerateSpectrum, RootsNotConverged,
+                     StripExceeded)
 from .growth import continue_periodic_grid
+
+_EPS = np.finfo(float).eps
+# Aberth sweeps before RootsNotConverged; 23-25 suffice at degree 600-6000
+_MAX_SWEEPS = 100
+# complex elements per row block of an N x N (or ntau x terms) step, 4 MB
+_BLOCK = 1 << 18
+# the two iterates of a double root stop about 4 sqrt(eps) |z| apart,
+# two simple roots 1e-6 |z| apart stay apart
+_CLUSTER_TOL = 16.0 * math.sqrt(_EPS)
+# backward residual above which a polished zero is not a zero
+_RESIDUAL_TOL = 1e-10
 
 
 @dataclass
@@ -60,7 +73,10 @@ def _value_at(spectrum, w):
 
 
 def _newton_strip(spectrum, deriv, w, iters=8):
-    """Newton refinement of a continuation zero in strip coordinates."""
+    """Newton refinement of a continuation zero in strip coordinates.
+
+    Returns the refined point and the last value of f that Newton took.
+    """
     for _ in range(iters):
         f = _value_at(spectrum, w)
         df = _value_at(deriv, w)
@@ -70,18 +86,139 @@ def _newton_strip(spectrum, deriv, w, iters=8):
         w = w - step
         if abs(step) < 1e-15 * (1 + abs(w)):
             break
-    return w
+    return w, f
 
 
-def laurent_roots(spectrum, tau_max, cluster_tol=1e-9):
+def _tau_scale(spectrum, tau):
+    """sum |nu(n)| e^{-2 pi n tau / L} at each tau: the size of the terms
+    of the continuation on the line Im w = tau."""
+    terms = replace(spectrum, coeffs=np.abs(spectrum.coeffs))
+    tau = np.asarray(tau, dtype=float)
+    return np.concatenate([
+        continue_periodic_grid(terms, 0.0, tau[b])[:, 0].real
+        for b in _row_blocks(len(tau), len(terms.coeffs))])
+
+
+def _row_blocks(rows, cols):
+    """Slices of `rows` rows whose (rows x cols) blocks hold at most
+    _BLOCK elements."""
+    step = max(1, _BLOCK // cols)
+    return [slice(a, a + step) for a in range(0, rows, step)]
+
+
+def _horner_ratios(c, z):
+    """p/p' and the backward error |p| / sum |c_k| |z|^k of
+    p(z) = sum c_k z^k at each z.
+
+    Where |z| > 1 Horner runs on the reversed coefficients in y = 1/z,
+    p(z) = z^N q(y), so nothing overflows: p/p' = z q / (N q - y q').
+    """
+    n = len(c) - 1
+    big = np.abs(z) > 1
+    inner, outer = np.flatnonzero(~big), np.flatnonzero(big)
+    ni, no = len(inner), len(outer)
+    # row 0 holds the points of p, row 1 those of q, zero padded
+    y = np.zeros((2, max(ni, no)), dtype=complex)
+    y[0, :ni] = z[inner]
+    y[1, :no] = 1.0 / z[outer]
+    coef = np.stack([c[::-1], c], axis=1)[:, :, None]
+    size = np.abs(coef)
+    ay = np.abs(y)
+    p = np.zeros_like(y)
+    dp = np.zeros_like(y)
+    s = np.zeros(y.shape)
+    for k in range(n + 1):
+        dp *= y
+        dp += p
+        p *= y
+        p += coef[k]
+        s *= ay
+        s += size[k]
+    ratio = np.empty(len(z), dtype=complex)
+    ratio[inner] = p[0, :ni] / dp[0, :ni]
+    ratio[outer] = z[outer] * p[1, :no] / (n * p[1, :no]
+                                           - y[1, :no] * dp[1, :no])
+    backward = np.empty(len(z))
+    backward[inner] = np.abs(p[0, :ni]) / s[0, :ni]
+    backward[outer] = np.abs(p[1, :no]) / s[1, :no]
+    return ratio, backward
+
+
+def _aberth(c):
+    """All N roots of sum c_k z^k, c_0 and c_N nonzero, by Aberth-Ehrlich.
+
+    Simultaneous (Jacobi) sweeps z_i -= r_i / (1 - r_i sum_{j != i}
+    1 / (z_i - z_j)), with r = p/p', from N points on the circle of
+    radius |c_0 / c_N|^{1/N}, turned by 0.7 rad so that no start lies on
+    the real axis, where the iterates of a real polynomial would stay.
+    An iterate freezes once its step is below 1e-15 |z| or its backward
+    error is at rounding level, which is where the iterates of a multiple
+    root stop.  Raises RootsNotConverged when any iterate still moves
+    after _MAX_SWEEPS sweeps.
+    """
+    n = len(c) - 1
+    if n < 1:
+        return np.empty(0, dtype=complex)
+    radius = abs(c[0] / c[-1]) ** (1.0 / n)
+    z = radius * np.exp(1j * (2.0 * np.pi * np.arange(n) / n + 0.7))
+    moving = np.arange(n)
+    for _ in range(_MAX_SWEEPS):
+        zi = z[moving]
+        ratio, backward = _horner_ratios(c, zi)
+        pair = np.empty(len(moving), dtype=complex)
+        for b in _row_blocks(len(moving), n):
+            d = zi[b, None] - z
+            d[np.arange(d.shape[0]), moving[b]] = np.inf
+            pair[b] = np.sum(np.reciprocal(d, out=d), axis=1)
+        step = ratio / (1.0 - ratio * pair)
+        z[moving] = zi - step
+        moving = moving[(np.abs(step) > 1e-15 * np.abs(zi))
+                        & (backward > 4.0 * (n + 1) * _EPS)]
+        if not len(moving):
+            return z
+    raise RootsNotConverged("%d of %d Aberth iterates still move after "
+                            "%d sweeps" % (len(moving), n, _MAX_SWEEPS))
+
+
+def _multiplicities(z):
+    """Centroids and sizes of the groups of iterates within
+    _CLUSTER_TOL |z| of one another: an m-fold root leaves m iterates
+    that close around it.  Distances in the z plane have no seam."""
+    if not len(z):
+        return z, np.empty(0, dtype=int)
+    label = np.arange(len(z))
+    near_i, near_j = [], []
+    for b in _row_blocks(len(z), len(z)):
+        i, j = np.nonzero(np.abs(z[b, None] - z)
+                          <= _CLUSTER_TOL * np.abs(z[b, None]))
+        near_i.append(i + b.start)
+        near_j.append(j)
+    near_i, near_j = np.concatenate(near_i), np.concatenate(near_j)
+    while True:          # each group takes its smallest member's label
+        merged = label.copy()
+        np.minimum.at(merged, near_i, label[near_j])
+        if np.array_equal(merged, label):
+            break
+        label = merged
+    _, group, size = np.unique(label, return_inverse=True,
+                               return_counts=True)
+    centroid = (np.bincount(group, z.real) + 1j * np.bincount(group, z.imag))
+    return centroid / size, size
+
+
+def laurent_roots(spectrum, tau_max):
     """All zeros of the continuation with |tau| <= tau_max in one period.
 
     The Laurent polynomial sum nu(n) z^n has degree n_max - n_min after
-    clearing the pole at 0; companion-matrix roots in the closed annulus
+    clearing the pole at 0.  Its Aberth roots, merged into multiple roots
+    where their iterates meet, that lie in the closed annulus
     e^{-2 pi tau_max / L} <= |z| <= e^{2 pi tau_max / L} map back to
     t + i tau and are Newton polished.  Count over the full annulus of
-    analyticity is exactly the polynomial degree.  Raises StripExceeded
-    when tau_max is beyond the spectrum's tau_max.
+    analyticity is exactly the polynomial degree.  conditioning_warning
+    is set when a polished zero's backward residual
+    |f(w)| / sum |nu(n)| e^{-2 pi n tau / L} exceeds 1e-10.  Raises
+    StripExceeded when tau_max is beyond the spectrum's tau_max, and
+    RootsNotConverged when the iteration does not settle.
     """
     if not len(spectrum.coeffs):
         raise DegenerateSpectrum("zero polynomial")
@@ -89,40 +226,30 @@ def laurent_roots(spectrum, tau_max, cluster_tol=1e-9):
         raise StripExceeded("tau_max=%g beyond %g"
                             % (tau_max, spectrum.tau_max))
     L = spectrum.period
-    roots = np.roots(spectrum.coeffs[::-1])     # descending powers of z
+    roots, mults = _multiplicities(_aberth(spectrum.coeffs))
 
     r_lo = math.exp(-2.0 * math.pi * tau_max / L) - 1e-9
     r_hi = math.exp(2.0 * math.pi * tau_max / L) + 1e-9
-    kept = [r for r in roots if r_lo <= abs(r) <= r_hi]
+    kept = (r_lo <= np.abs(roots)) & (np.abs(roots) <= r_hi)
 
     # polish in strip coordinates (the polynomial overflows off the annulus)
     om = 2.0 * math.pi / L      # f' is the same sum over i om n nu(n)
     deriv = replace(spectrum,
                     coeffs=1j * om * spectrum.freqs * spectrum.coeffs)
-    ws = []
-    for r in kept:
+    zs, fs = [], []
+    for r, m in zip(roots[kept], mults[kept]):
         t = (L * math.atan2(r.imag, r.real) / (2.0 * math.pi)) % L
         tau = -L * math.log(abs(r)) / (2.0 * math.pi)
-        ws.append(_newton_strip(spectrum, deriv, complex(t, tau)))
+        w, f = _newton_strip(spectrum, deriv, complex(t, tau))
+        zs.append((complex(w.real % L, w.imag), int(m)))
+        fs.append(abs(f))
 
-    # residuals relative to the restriction's scale on the period cell
-    scale = float(np.max(np.abs(continue_periodic_grid(
-        spectrum, np.linspace(0, L, 256, endpoint=False), [0.0]))))
-    warn = any(abs(_value_at(spectrum, w)) > 1e-8 * scale for w in ws)
-
-    # cluster for multiplicities, threshold relative to the period
-    zs = []
-    tol = cluster_tol * L
-    for w in ws:
-        z = complex(w.real % L, w.imag)
-        for i, (z0, m) in enumerate(zs):
-            dt = abs((z.real - z0.real + L / 2) % L - L / 2)
-            if dt <= tol and abs(z.imag - z0.imag) <= tol:
-                zs[i] = (z0, m + 1)
-                break
-        else:
-            zs.append((z, 1))
+    warn = False
+    if zs:
+        scale = _tau_scale(spectrum, [z.imag for z, _ in zs])
+        warn = bool(np.max(np.array(fs) / scale) > _RESIDUAL_TOL)
     # the two zeros of a conjugate pair share t only up to rounding
+    tol = 1e-9 * L
     zs.sort(key=lambda p: (round(p[0].real / tol), p[0].imag))
     return ZeroSet(zs, L, spectrum.lam, tau_max,
                    conditioning_warning=warn)
@@ -140,19 +267,34 @@ def _boundary_values(spectrum, box, n):
         continue_periodic_grid(spectrum, t0, np.r_[u0 + u1 - us, u0])[:, 0]])
 
 
+def _boundary_scale(spectrum, box, n):
+    """_tau_scale at each point of _boundary_values(spectrum, box, n)."""
+    t0, t1, u0, u1 = box
+    us = np.linspace(u0, u1, n, endpoint=False)
+    s = _tau_scale(spectrum, np.r_[u0, u1, us, u0 + u1 - us, u0])
+    return np.concatenate([np.full(n, s[0]), s[2:n + 2],
+                           np.full(n, s[1]), s[n + 2:]])
+
+
 def argument_principle_count(spectrum, box, n0=64, max_refine=12):
     """Winding number of the continuation around a strip rectangle.
 
-    Adaptive phase tracking along the boundary: the sampling is doubled
-    until every consecutive phase increment is below pi/2, then the total
-    winding is an integer by construction.  Boxes with a near-boundary
-    zero are dilated slightly, three attempts.
+    Adaptive phase tracking along the boundary: the sampling starts at
+    n0 points per edge, and at no fewer than 4 per period of the top
+    frequency along the t edges, and is doubled until every consecutive
+    phase increment is below pi/2, then the total winding is an integer
+    by construction.  The values are divided by the tau-only scale
+    sum |nu(n)| e^{-2 pi n tau / L} before the near-zero test, so the
+    growth of |f| across the strip does not read as a zero.  Boxes with
+    a near-boundary zero are dilated slightly, three attempts.
     """
+    top = max(abs(spectrum.n_min), abs(spectrum.n_max))
     for attempt in range(3):
-        n = n0
+        t0, t1, u0, u1 = box
+        n = max(n0, math.ceil(4 * top * (t1 - t0) / spectrum.period))
         for _ in range(max_refine):
             vals = _boundary_values(spectrum, box, n)
-            mags = np.abs(vals)
+            mags = np.abs(vals) / _boundary_scale(spectrum, box, n)
             if np.min(mags) < 1e-12 * np.max(mags):
                 break    # zero on boundary, dilate
             dphi = np.diff(np.angle(vals))
@@ -161,7 +303,6 @@ def argument_principle_count(spectrum, box, n0=64, max_refine=12):
                 total = float(np.sum(dphi))
                 return int(round(total / (2.0 * np.pi)))
             n *= 2
-        t0, t1, u0, u1 = box
         pad = 1e-5 * (attempt + 1)
         box = (t0 - pad, t1 + pad, u0 - pad, u1 + pad)
     raise BoundaryZero("could not separate a zero from the box boundary")

@@ -10,12 +10,36 @@ from striplab import (BoxIndicator, CosineWindow, GaussianBump,
                       OrbitalSpectrum, Strip, argument_principle_count,
                       empirical_measure_pairing, exact_restriction_spectrum,
                       growth_profile, laurent_roots, lelong_box_integral,
-                      lelong_density, sample_random_wave, torus_geodesic)
-from striplab.errors import DegenerateSpectrum, StripExceeded
+                      lelong_density, sample_random_wave, torus_geodesic,
+                      zeros)
+from striplab.errors import (BoundaryZero, DegenerateSpectrum,
+                             RootsNotConverged, StripExceeded)
 from striplab.experiments import sine_spectrum
 from striplab.growth import continue_periodic_grid
 
 L = 2 * np.pi
+
+
+@pytest.fixture(scope="module")
+def lam300():
+    """(spectrum, zero set with |tau| <= 0.2) at lambda=300, seeds 0 and 1."""
+    state = torus_geodesic((1, 0))
+    out = []
+    for seed in (0, 1):
+        spec = exact_restriction_spectrum(
+            sample_random_wave(300.0, 1.0, seed), state)
+        out.append((spec, laurent_roots(spec, tau_max=0.2)))
+    return out
+
+
+def _assert_same_roots(got, want, tol):
+    """Each root of `want` has its own root of `got` within tol max(1, |z|)."""
+    assert len(got) == len(want)
+    dist = np.abs(want[:, None] - got[None, :])
+    nearest = np.argmin(dist, axis=1)
+    assert len(set(nearest.tolist())) == len(want)
+    err = dist[np.arange(len(want)), nearest] / np.maximum(1.0, np.abs(want))
+    assert np.max(err, initial=0.0) <= tol
 
 
 def test_sine_zeros_exact():
@@ -69,6 +93,106 @@ def test_degenerate_spectrum_raises():
     # a nonzero constant never vanishes: empty zero set, not an error
     zs = laurent_roots(OrbitalSpectrum(5.0, L, {0: 1.0 + 0j}), tau_max=0.3)
     assert zs.count() == 0
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 10 ** 6),
+       kind=st.sampled_from(["dense", "sine", "lopsided"]))
+def test_aberth_matches_np_roots(seed, kind):
+    # np.roots (the companion-matrix eigensolve) is the oracle
+    rng = np.random.default_rng(seed)
+    degree = int(rng.integers(6, 61))
+    if kind == "sine":
+        spec = sine_spectrum(degree // 2)
+    else:
+        n_min = -(degree // 2)
+        if kind == "lopsided":
+            n_min = int(rng.integers(-degree, 1))
+            if 2 * n_min == -degree:
+                n_min -= 1
+        coeffs = rng.standard_normal(degree + 1) \
+            + 1j * rng.standard_normal(degree + 1)
+        spec = OrbitalSpectrum(float(degree), L, n_min=n_min, coeffs=coeffs)
+    c = spec.coeffs
+    _assert_same_roots(zeros._aberth(c), np.roots(c[::-1]), 1e-12)
+
+
+def test_aberth_keeps_the_companion_roots_at_lambda_300(lam300):
+    spec, zs = lam300[0]
+    roots = np.roots(spec.coeffs[::-1])
+    kept = roots[np.abs(np.log(np.abs(roots))) <= 0.2 + 1e-9]
+    w = (np.angle(kept) % (2 * np.pi)) - 1j * np.log(np.abs(kept))
+    got = np.array([z for z, _ in zs.zeros])
+    # compare across the seam t = 0 = L
+    got = np.where(got.real > L - 1e-6, got - L, got)
+    w = np.where(w.real > L - 1e-6, w - L, w)
+    assert zs.count() == len(kept) == 600
+    _assert_same_roots(got, w, 1e-12)
+
+
+def test_aberth_raises_when_iterates_still_move(monkeypatch):
+    monkeypatch.setattr(zeros, "_MAX_SWEEPS", 1)
+    spec = exact_restriction_spectrum(sample_random_wave(30.0, 1.0, 0),
+                                      torus_geodesic((1, 0)))
+    with pytest.raises(RootsNotConverged):
+        laurent_roots(spec, tau_max=0.3)
+
+
+def test_multiplicity_from_aberth_iterates():
+    # sin(t)^2 cos(3t): double zeros at 0 and pi, six simple ones
+    nu = {-5: -1 / 8, -3: 1 / 4, -1: -1 / 8, 1: -1 / 8, 3: 1 / 4, 5: -1 / 8}
+    zs = laurent_roots(OrbitalSpectrum(5.0, L, nu), tau_max=0.3)
+    assert len(zs.zeros) == 8 and zs.count() == 10
+    for z, m in zs.zeros:
+        seam = abs((z.real + L / 2) % L - L / 2)    # distance to t = 0
+        double = seam < 1e-7 or abs(z - np.pi) < 1e-7
+        assert m == (2 if double else 1)
+    assert sorted(m for _, m in zs.zeros)[-2:] == [2, 2]
+    # two simple zeros 1e-6 apart stay two rows
+    a, b = np.exp(1j), np.exp(1j * (1 + 1e-6))
+    zs = laurent_roots(OrbitalSpectrum(1.0, L, {-1: a * b, 0: -(a + b),
+                                                1: 1.0}), tau_max=0.3)
+    assert [m for _, m in zs.zeros] == [1, 1]
+    assert [z.real for z, _ in zs.zeros] == pytest.approx([1, 1 + 1e-6],
+                                                          abs=1e-9)
+    # the iterates of a triple zero settle eps^(1/3) apart, never within
+    # 1e-15 |z| steps: they stop at rounding-level backward error, and
+    # the count holds even where the rows split
+    h = 1 / 8j
+    cube = OrbitalSpectrum(9.0, L, {-9: h, -3: -3 * h, 3: 3 * h, 9: -h})
+    assert laurent_roots(cube, tau_max=0.3).count() == 18
+
+
+def test_conditioning_warning_reads_the_backward_residual(lam300,
+                                                          monkeypatch):
+    spec, zs = lam300[0]
+    assert not zs.conditioning_warning
+    # points Newton cannot polish in one step are not zeros
+    aberth, newton = zeros._aberth, zeros._newton_strip
+    monkeypatch.setattr(zeros, "_aberth",
+                        lambda c: aberth(c) * np.exp(1e-3j))
+    monkeypatch.setattr(zeros, "_newton_strip",
+                        lambda s, d, w: newton(s, d, w, iters=1))
+    small = exact_restriction_spectrum(sample_random_wave(30.0, 1.0, 0),
+                                       torus_geodesic((1, 0)))
+    assert laurent_roots(small, tau_max=0.3).conditioning_warning
+
+
+def test_argument_principle_counts_the_full_strip(lam300):
+    # |f| grows like e^{2 pi |n tau| / L} across the strip; only a zero
+    # on the boundary may raise BoundaryZero
+    for spec, zs in lam300:
+        box = (0.0, L, -0.2, 0.2)
+        assert argument_principle_count(spec, box) == zs.count(box)
+
+
+def test_boundary_zero_still_raises():
+    # sin(3t)^3: the edge t = pi/3 runs through a triple zero, which no
+    # dilation of the box moves off the boundary
+    h = 1 / 8j
+    cube = OrbitalSpectrum(9.0, L, {-9: h, -3: -3 * h, 3: 3 * h, 9: -h})
+    with pytest.raises(BoundaryZero):
+        argument_principle_count(cube, (np.pi / 3, 2.0, -0.3, 0.3))
 
 
 def test_argument_principle_matches_companion():
