@@ -70,7 +70,9 @@ def continue_periodic_grid(spectrum, t, tau):
     e^{2 pi i n j / m} depends only on n mod m, and point j reads bin
     j mod m, so the closed endpoint and grids past one period need
     nothing extra.  Every other grid takes the dense kernel in column
-    blocks of at most 64 MB.
+    blocks of at most 64 MB.  Both paths build the damping per block of
+    tau rows under the same cap; a grid with several tau blocks and
+    several column blocks rebuilds the column kernels for each tau block.
     """
     if not len(spectrum.coeffs):
         raise EmptySpectrum("spectrum has no entries")
@@ -83,15 +85,29 @@ def continue_periodic_grid(spectrum, t, tau):
         raise StripExceeded("|tau|=%g beyond %g" % (tau_top, spectrum.tau_max))
     if w * max(-ns[0], ns[-1]) * tau_top > np.log(np.finfo(float).max):
         raise ContinuationOverflow("e^{w n tau} overflows at tau=%g" % tau_top)
-    damp = np.exp(-w * np.outer(tau, ns)) * vals       # (ntau, nterms)
     m = _period_steps(t, spectrum.period, len(ns))
+    out = np.empty((len(tau), len(t)), dtype=complex)
+    # a tau row costs its damping and, while that is built, its real
+    # exponent (24 B a term); on the FFT path also its folded,
+    # transformed and gathered rows
+    row_bytes = 24 * len(ns)
     if m is not None:
-        return _fft_rows(damp * np.exp(1j * w * ns * t[0]),
-                         spectrum.n_min, m, len(t))
-    step = max(1, _DENSE_BLOCK_BYTES // (16 * len(ns)))
-    blocks = [damp @ np.exp(1j * w * np.outer(ns, t[j:j + step]))
-              for j in range(0, len(t), step)]
-    return blocks[0] if len(blocks) == 1 else np.hstack(blocks)
+        row_bytes += 16 * (len(ns) + 2 * m + len(t))
+        phase = np.exp(1j * w * ns * t[0])
+    else:
+        step = max(1, _DENSE_BLOCK_BYTES // (16 * len(ns)))
+    rows = max(1, _DENSE_BLOCK_BYTES // row_bytes)
+    for i in range(0, len(tau), rows):
+        damp = np.exp(-w * np.outer(tau[i:i + rows], ns)) * vals
+        if m is not None:
+            damp *= phase
+            out[i:i + rows] = _fft_rows(damp, spectrum.n_min, m, len(t))
+        else:
+            for j in range(0, len(t), step):
+                np.matmul(damp, np.exp(1j * w * np.outer(ns, t[j:j + step])),
+                          out=out[i:i + rows, j:j + step])
+        del damp         # before the next block's damping is built
+    return out
 
 
 def _period_steps(t, period, nterms):

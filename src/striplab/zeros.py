@@ -4,7 +4,8 @@ Periodic restrictions are finite exponential sums; substituting
 z = e^{2 pi i (t + i tau)/L} turns the continuation into a Laurent
 polynomial.  Its roots come from simultaneous Aberth-Ehrlich iteration
 (Bini 1996), O(N^2) per sweep in O(N) memory; the roots in an annulus
-are Newton polished in strip coordinates.  The argument principle
+are Newton polished in z, all at once, by the same p/p' kernel, which
+also gives each zero's backward error.  The argument principle
 supplies an independent count, and the log-modulus Laplacian
 (Poincare-Lelong) recovers the counting measure from growth profiles.
 """
@@ -23,11 +24,14 @@ from .growth import continue_periodic_grid
 _EPS = np.finfo(float).eps
 # Aberth sweeps before RootsNotConverged; 23-25 suffice at degree 600-6000
 _MAX_SWEEPS = 100
-# complex elements per row block of an N x N (or ntau x terms) step, 4 MB
-_BLOCK = 1 << 18
+# complex elements per row block of an N x N step or of power rows,
+# 512 KB: blocks that stay in cache run faster than 4 MB ones
+_BLOCK = 1 << 15
 # the two iterates of a double root stop about 4 sqrt(eps) |z| apart,
 # two simple roots 1e-6 |z| apart stay apart
 _CLUSTER_TOL = 16.0 * math.sqrt(_EPS)
+# Newton steps of the polish
+_POLISH_STEPS = 8
 # backward residual above which a polished zero is not a zero
 _RESIDUAL_TOL = 1e-10
 
@@ -67,36 +71,11 @@ class ZeroSet:
         return "\n".join(lines) + "\n"
 
 
-def _value_at(spectrum, w):
-    """The continuation at w = t + i tau, a 1x1 grid."""
-    return continue_periodic_grid(spectrum, w.real, w.imag)[0, 0]
-
-
-def _newton_strip(spectrum, deriv, w, iters=8):
-    """Newton refinement of a continuation zero in strip coordinates.
-
-    Returns the refined point and the last value of f that Newton took.
-    """
-    for _ in range(iters):
-        f = _value_at(spectrum, w)
-        df = _value_at(deriv, w)
-        if df == 0:
-            break
-        step = f / df
-        w = w - step
-        if abs(step) < 1e-15 * (1 + abs(w)):
-            break
-    return w, f
-
-
 def _tau_scale(spectrum, tau):
     """sum |nu(n)| e^{-2 pi n tau / L} at each tau: the size of the terms
     of the continuation on the line Im w = tau."""
     terms = replace(spectrum, coeffs=np.abs(spectrum.coeffs))
-    tau = np.asarray(tau, dtype=float)
-    return np.concatenate([
-        continue_periodic_grid(terms, 0.0, tau[b])[:, 0].real
-        for b in _row_blocks(len(tau), len(terms.coeffs))])
+    return continue_periodic_grid(terms, 0.0, tau)[:, 0].real
 
 
 def _row_blocks(rows, cols):
@@ -106,41 +85,50 @@ def _row_blocks(rows, cols):
     return [slice(a, a + step) for a in range(0, rows, step)]
 
 
-def _horner_ratios(c, z):
+def _real_form(cols):
+    """The real (2K, 2J) matrix m with x.view(float) @ m equal to
+    (x @ cols).view(float) for a complex x of K columns."""
+    m = np.empty((2 * cols.shape[0], 2 * cols.shape[1]))
+    m[0::2, 0::2] = cols.real
+    m[1::2, 0::2] = -cols.imag
+    m[0::2, 1::2] = cols.imag
+    m[1::2, 1::2] = cols.real
+    return m
+
+
+def _ratios(c, z):
     """p/p' and the backward error |p| / sum |c_k| |z|^k of
     p(z) = sum c_k z^k at each z.
 
-    Where |z| > 1 Horner runs on the reversed coefficients in y = 1/z,
-    p(z) = z^N q(y), so nothing overflows: p/p' = z q / (N q - y q').
+    Each row block of points takes its powers y^0..y^N from one cumprod
+    with |y| <= 1, so nothing overflows: y = z inside the unit circle,
+    and outside it y = 1/z on the reversed coefficients, p(z) = z^N q(y),
+    so p/p' = z q / (N q - y q').  p and p' are then one real matrix
+    product (threaded complex BLAS products were 20x slower on 2 cores),
+    and the cost follows the number of points.
     """
     n = len(c) - 1
-    big = np.abs(z) > 1
-    inner, outer = np.flatnonzero(~big), np.flatnonzero(big)
-    ni, no = len(inner), len(outer)
-    # row 0 holds the points of p, row 1 those of q, zero padded
-    y = np.zeros((2, max(ni, no)), dtype=complex)
-    y[0, :ni] = z[inner]
-    y[1, :no] = 1.0 / z[outer]
-    coef = np.stack([c[::-1], c], axis=1)[:, :, None]
-    size = np.abs(coef)
-    ay = np.abs(y)
-    p = np.zeros_like(y)
-    dp = np.zeros_like(y)
-    s = np.zeros(y.shape)
-    for k in range(n + 1):
-        dp *= y
-        dp += p
-        p *= y
-        p += coef[k]
-        s *= ay
-        s += size[k]
     ratio = np.empty(len(z), dtype=complex)
-    ratio[inner] = p[0, :ni] / dp[0, :ni]
-    ratio[outer] = z[outer] * p[1, :no] / (n * p[1, :no]
-                                           - y[1, :no] * dp[1, :no])
     backward = np.empty(len(z))
-    backward[inner] = np.abs(p[0, :ni]) / s[0, :ni]
-    backward[outer] = np.abs(p[1, :no]) / s[1, :no]
+    big = np.abs(z) > 1
+    for outer, coef in ((False, c), (True, c[::-1])):
+        at = np.flatnonzero(big == outer)
+        y = 1.0 / z[at] if outer else z[at]
+        # p = sum coef_k y^k and p' = sum (k + 1) coef_{k+1} y^k
+        lin = _real_form(np.stack(
+            [coef, np.r_[np.arange(1, n + 1) * coef[1:], 0.0]], axis=1))
+        size = np.abs(coef)
+        for b in _row_blocks(len(at), n + 1):
+            powers = np.empty((len(y[b]), n + 1), dtype=complex)
+            powers[:, 0] = 1.0
+            powers[:, 1:] = y[b, None]
+            np.cumprod(powers, axis=1, out=powers)
+            p, dp = (powers.view(float) @ lin).view(complex).T
+            backward[at[b]] = np.abs(p) / (np.abs(powers) @ size)
+            if outer:
+                ratio[at[b]] = z[at[b]] * p / (n * p - y[b] * dp)
+            else:
+                ratio[at[b]] = p / dp
     return ratio, backward
 
 
@@ -164,7 +152,7 @@ def _aberth(c):
     moving = np.arange(n)
     for _ in range(_MAX_SWEEPS):
         zi = z[moving]
-        ratio, backward = _horner_ratios(c, zi)
+        ratio, backward = _ratios(c, zi)
         pair = np.empty(len(moving), dtype=complex)
         for b in _row_blocks(len(moving), n):
             d = zi[b, None] - z
@@ -206,17 +194,36 @@ def _multiplicities(z):
     return centroid / size, size
 
 
+def _polish(c, z):
+    """Newton steps z -= p/p' on all of z at once, at most _POLISH_STEPS;
+    a point stops once its step is below 1e-15 |z|.  Returns the points
+    and the backward error of p where each took its last step."""
+    z = z.copy()
+    backward = np.zeros(len(z))
+    moving = np.arange(len(z))
+    for _ in range(_POLISH_STEPS):
+        if not len(moving):
+            break
+        zi = z[moving]
+        ratio, backward[moving] = _ratios(c, zi)
+        step = np.where(np.isfinite(ratio), ratio, 0.0)   # p' = 0: stay
+        z[moving] = zi - step
+        moving = moving[np.abs(step) >= 1e-15 * np.abs(zi)]
+    return z, backward
+
+
 def laurent_roots(spectrum, tau_max):
     """All zeros of the continuation with |tau| <= tau_max in one period.
 
     The Laurent polynomial sum nu(n) z^n has degree n_max - n_min after
     clearing the pole at 0.  Its Aberth roots, merged into multiple roots
     where their iterates meet, that lie in the closed annulus
-    e^{-2 pi tau_max / L} <= |z| <= e^{2 pi tau_max / L} map back to
-    t + i tau and are Newton polished.  Count over the full annulus of
-    analyticity is exactly the polynomial degree.  conditioning_warning
+    e^{-2 pi tau_max / L} <= |z| <= e^{2 pi tau_max / L} are Newton
+    polished in z and map back to t + i tau.  Count over the full annulus
+    of analyticity is exactly the polynomial degree.  conditioning_warning
     is set when a polished zero's backward residual
-    |f(w)| / sum |nu(n)| e^{-2 pi n tau / L} exceeds 1e-10.  Raises
+    |p(z)| / sum |c_k| |z|^k, which is
+    |f(w)| / sum |nu(n)| e^{-2 pi n tau / L}, exceeds 1e-10.  Raises
     StripExceeded when tau_max is beyond the spectrum's tau_max, and
     RootsNotConverged when the iteration does not settle.
     """
@@ -231,23 +238,12 @@ def laurent_roots(spectrum, tau_max):
     r_lo = math.exp(-2.0 * math.pi * tau_max / L) - 1e-9
     r_hi = math.exp(2.0 * math.pi * tau_max / L) + 1e-9
     kept = (r_lo <= np.abs(roots)) & (np.abs(roots) <= r_hi)
-
-    # polish in strip coordinates (the polynomial overflows off the annulus)
-    om = 2.0 * math.pi / L      # f' is the same sum over i om n nu(n)
-    deriv = replace(spectrum,
-                    coeffs=1j * om * spectrum.freqs * spectrum.coeffs)
-    zs, fs = [], []
-    for r, m in zip(roots[kept], mults[kept]):
-        t = (L * math.atan2(r.imag, r.real) / (2.0 * math.pi)) % L
-        tau = -L * math.log(abs(r)) / (2.0 * math.pi)
-        w, f = _newton_strip(spectrum, deriv, complex(t, tau))
-        zs.append((complex(w.real % L, w.imag), int(m)))
-        fs.append(abs(f))
-
-    warn = False
-    if zs:
-        scale = _tau_scale(spectrum, [z.imag for z, _ in zs])
-        warn = bool(np.max(np.array(fs) / scale) > _RESIDUAL_TOL)
+    z, backward = _polish(spectrum.coeffs, roots[kept])
+    t = (L * np.angle(z) / (2.0 * math.pi)) % L
+    tau = -L * np.log(np.abs(z)) / (2.0 * math.pi)
+    zs = [(complex(a, b), int(m)) for a, b, m in zip(t, tau, mults[kept])]
+    # |p(z)| / sum |c_k| |z|^k is |f(w)| / sum |nu(n)| e^{-2 pi n tau / L}
+    warn = bool(np.max(backward, initial=0.0) > _RESIDUAL_TOL)
     # the two zeros of a conjugate pair share t only up to rounding
     tol = 1e-9 * L
     zs.sort(key=lambda p: (round(p[0].real / tol), p[0].imag))

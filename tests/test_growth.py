@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -119,6 +120,41 @@ def test_dense_blocks_match_one_kernel(monkeypatch):
     blocked = continue_periodic_grid(spec, t, tau)
     sup = np.max(np.abs(whole), axis=1, keepdims=True)
     assert np.all(np.abs(blocked - whole) <= 1e-14 * sup)
+
+
+def test_tau_blocks_match_the_unblocked_grid(monkeypatch):
+    spec = exact_restriction_spectrum(sample_random_wave(60.0, 1.0, 3),
+                                      torus_geodesic((1, 1)))
+    tau = np.linspace(-0.3, 0.3, 23)
+    aligned = np.linspace(0.0, spec.period, 257)
+    scattered = np.sort(np.random.default_rng(2).uniform(0.0, spec.period,
+                                                         301))
+    assert _period_steps(aligned, spec.period, len(spec.coeffs)) == 256
+    assert _period_steps(scattered, spec.period, len(spec.coeffs)) is None
+    whole = [continue_periodic_grid(spec, t, tau)
+             for t in (aligned, scattered)]
+    # a few tau rows (and on the dense path 7 columns) per block
+    monkeypatch.setattr("striplab.growth._DENSE_BLOCK_BYTES",
+                        16 * len(spec.coeffs) * 7)
+    for t, one in zip((aligned, scattered), whole):
+        blocked = continue_periodic_grid(spec, t, tau)
+        sup = np.max(np.abs(one), axis=1, keepdims=True)
+        assert np.all(np.abs(blocked - one) <= 1e-14 * sup)
+
+
+def test_tau_blocks_bound_the_grid_memory():
+    # one column of 2^18 tau rows: its whole damping would take 424 MB
+    tau = np.linspace(0.0, 0.3, 2 ** 18)
+    tracemalloc.start()
+    try:
+        column = continue_periodic_grid(sine_spectrum(50), 0.5, tau)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100 << 20
+    rows = [0, 1000, -1]
+    assert column[rows, 0] == pytest.approx(
+        np.sin(50 * (0.5 + 1j * tau[rows])), rel=1e-12)
 
 
 def test_grid_guards_the_strip_and_float_range():

@@ -117,6 +117,31 @@ def test_aberth_matches_np_roots(seed, kind):
     _assert_same_roots(zeros._aberth(c), np.roots(c[::-1]), 1e-12)
 
 
+def test_ratios_match_polyval():
+    # np.polyval (Horner on the plain coefficients) is the oracle
+    for seed in range(50):
+        rng = np.random.default_rng(seed)
+        degree = int(rng.integers(6, 61))
+        c = rng.standard_normal(degree + 1) \
+            + 1j * rng.standard_normal(degree + 1)
+        # half the points inside the unit circle, half outside
+        z = np.exp(np.r_[rng.uniform(-0.7, 0.0, 20), rng.uniform(0.0, 0.7, 20)]
+                   + 1j * rng.uniform(0.0, 2 * np.pi, 40))
+        ratio, backward = zeros._ratios(c, z)
+        p = np.polyval(c[::-1], z)
+        dp = np.polyval(np.polyder(c[::-1]), z)
+        size = np.polyval(np.abs(c[::-1]), np.abs(z))
+        assert ratio == pytest.approx(p / dp, rel=1e-12)
+        assert backward == pytest.approx(np.abs(p) / size, rel=1e-12)
+    # degree 6002: |z|^6002 is e^{+-1800} at |z| = e^{+-0.3}, past float64
+    c = np.random.default_rng(0).standard_normal(6003) + 0j
+    for r in (0.3, -0.3):
+        ratio, backward = zeros._ratios(
+            c, np.exp(r + 1j * np.linspace(0.0, 2 * np.pi, 64)))
+        assert np.isfinite(ratio).all() and np.isfinite(backward).all()
+        assert np.all(backward > 0)
+
+
 def test_aberth_keeps_the_companion_roots_at_lambda_300(lam300):
     spec, zs = lam300[0]
     roots = np.roots(spec.coeffs[::-1])
@@ -168,14 +193,27 @@ def test_conditioning_warning_reads_the_backward_residual(lam300,
     spec, zs = lam300[0]
     assert not zs.conditioning_warning
     # points Newton cannot polish in one step are not zeros
-    aberth, newton = zeros._aberth, zeros._newton_strip
+    aberth = zeros._aberth
     monkeypatch.setattr(zeros, "_aberth",
                         lambda c: aberth(c) * np.exp(1e-3j))
-    monkeypatch.setattr(zeros, "_newton_strip",
-                        lambda s, d, w: newton(s, d, w, iters=1))
+    monkeypatch.setattr(zeros, "_POLISH_STEPS", 1)
     small = exact_restriction_spectrum(sample_random_wave(30.0, 1.0, 0),
                                        torus_geodesic((1, 0)))
     assert laurent_roots(small, tau_max=0.3).conditioning_warning
+
+
+def test_laurent_roots_makes_no_grid_call(lam300, monkeypatch):
+    # roots, polish and warning all come from the polynomial kernel
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return continue_periodic_grid(*args)
+
+    monkeypatch.setattr(zeros, "continue_periodic_grid", counting)
+    spec, zs = lam300[0]
+    assert laurent_roots(spec, tau_max=0.2).zeros == zs.zeros
+    assert not calls
 
 
 def test_argument_principle_counts_the_full_strip(lam300):
