@@ -104,8 +104,12 @@ def continue_periodic_grid(spectrum, t, tau):
             out[i:i + rows] = _fft_rows(damp, spectrum.n_min, m, len(t))
         else:
             for j in range(0, len(t), step):
-                np.matmul(damp, np.exp(1j * w * np.outer(ns, t[j:j + step])),
+                # exponentiated in place, and freed before the next one
+                # is built: one block of 64 MB at a time, not two
+                kernel = 1j * w * np.outer(ns, t[j:j + step])
+                np.matmul(damp, np.exp(kernel, out=kernel),
                           out=out[i:i + rows, j:j + step])
+                del kernel
         del damp         # before the next block's damping is built
     return out
 

@@ -3,9 +3,13 @@
 Periodic restrictions are finite exponential sums; substituting
 z = e^{2 pi i (t + i tau)/L} turns the continuation into a Laurent
 polynomial.  Its roots come from simultaneous Aberth-Ehrlich iteration
-(Bini 1996), O(N^2) per sweep in O(N) memory; the roots in an annulus
-are Newton polished in z, all at once, by the same p/p' kernel, which
-also gives each zero's backward error.  The argument principle
+(Bini 1996), O(N^2) per sweep in O(N) memory, started just off the unit
+circle so that the sweeps need not wait for rounding to move the roots
+of a real restriction off it; the roots in an annulus are Newton
+polished in z, all at once, by the same p/p' kernel, which also gives
+each zero's backward error.  The kernel splits the degree baby-step
+giant-step (Paterson and Stockmeyer 1973), O(sqrt N) powers a point
+and one small real matrix product.  The argument principle
 supplies an independent count, and the log-modulus Laplacian
 (Poincare-Lelong) recovers the counting measure from growth profiles.
 """
@@ -22,11 +26,16 @@ from .errors import (BoundaryZero, DegenerateSpectrum, RootsNotConverged,
 from .growth import continue_periodic_grid
 
 _EPS = np.finfo(float).eps
-# Aberth sweeps before RootsNotConverged; 23-25 suffice at degree 600-6000
+# Aberth sweeps before RootsNotConverged; 13-18 suffice at degree 600-6000
 _MAX_SWEEPS = 100
-# complex elements per row block of an N x N step or of power rows,
-# 512 KB: blocks that stay in cache run faster than 4 MB ones
+# complex elements per row block of an N x N step, or of the (N + 1)-term
+# power rows whose rows a p/p' block takes, 512 KB: blocks that stay in
+# cache run faster than 4 MB ones
 _BLOCK = 1 << 15
+# log-radius offset of the Aberth starts, + and - in turn.  At degree
+# 600-2800, 1e-2 costs 1.1-1.9 times the sweep work of 1e-3, and 1e-1
+# 3-12 times: starts far off the circle must first travel back to it
+_START_OFF = 1e-3
 # the two iterates of a double root stop about 4 sqrt(eps) |z| apart,
 # two simple roots 1e-6 |z| apart stay apart
 _CLUSTER_TOL = 16.0 * math.sqrt(_EPS)
@@ -100,33 +109,58 @@ def _ratios(c, z):
     """p/p' and the backward error |p| / sum |c_k| |z|^k of
     p(z) = sum c_k z^k at each z.
 
-    Each row block of points takes its powers y^0..y^N from one cumprod
-    with |y| <= 1, so nothing overflows: y = z inside the unit circle,
-    and outside it y = 1/z on the reversed coefficients, p(z) = z^N q(y),
-    so p/p' = z q / (N q - y q').  p and p' are then one real matrix
-    product (threaded complex BLAS products were 20x slower on 2 cores),
-    and the cost follows the number of points.
+    Baby-step giant-step split (Paterson and Stockmeyer 1973): with
+    B = isqrt(N + 1) and G = ceil((N + 1) / B), p(y) = sum_j (y^B)^j q_j(y)
+    with deg q_j < B, and likewise p'.  A row block of points takes its
+    baby steps V = y^0..y^{B-1} and giant steps W = (y^B)^0..(y^B)^{G-1}
+    by two short cumprods, every q_j of p and p' as one real product
+    Q = V C with the zero-padded coefficient runs C, and p and p' as row
+    sums of Q W; the backward error's denominator is the row sum of
+    (|V| |C|) |W|.  That is B + G powers a point, not N + 1.  A block has
+    as many rows as (N + 1)-term power rows fit in _BLOCK, which keeps
+    each product near 2^18 multiply-adds, on one OpenBLAS thread: with
+    blocks six times taller the products went to its threads, and a
+    degree-602 solve on 2 busy cores took 0.15 s at times instead of
+    0.04 s (degree 6002 gains 15% from them on idle cores).  Complex
+    BLAS products were 20x slower than real ones.  |y| <= 1, so nothing
+    overflows: y = z inside the unit circle, and outside it y = 1/z on
+    the reversed coefficients, p(z) = z^N q(y), so
+    p/p' = z q / (N q - y q').
     """
     n = len(c) - 1
+    baby = math.isqrt(n + 1)
+    giant = -(-(n + 1) // baby)
     ratio = np.empty(len(z), dtype=complex)
     backward = np.empty(len(z))
     big = np.abs(z) > 1
     for outer, coef in ((False, c), (True, c[::-1])):
         at = np.flatnonzero(big == outer)
         y = 1.0 / z[at] if outer else z[at]
-        # p = sum coef_k y^k and p' = sum (k + 1) coef_{k+1} y^k
-        lin = _real_form(np.stack(
-            [coef, np.r_[np.arange(1, n + 1) * coef[1:], 0.0]], axis=1))
-        size = np.abs(coef)
-        for b in _row_blocks(len(at), n + 1):
-            powers = np.empty((len(y[b]), n + 1), dtype=complex)
-            powers[:, 0] = 1.0
-            powers[:, 1:] = y[b, None]
-            np.cumprod(powers, axis=1, out=powers)
-            p, dp = (powers.view(float) @ lin).view(complex).T
-            backward[at[b]] = np.abs(p) / (np.abs(powers) @ size)
+        # column j holds coef_{jB..jB+B-1} of p, column G + j the same
+        # run of p' = sum (k + 1) coef_{k+1} y^k, zero past the degree
+        runs = np.zeros((2, giant * baby), dtype=complex)
+        runs[0, :n + 1] = coef
+        runs[1, :n] = np.arange(1, n + 1) * coef[1:]
+        runs = runs.reshape(2 * giant, baby).T
+        lin = _real_form(runs)
+        size = np.abs(runs[:, :giant])
+        for b in _row_blocks(len(at), baby * giant):
+            yb = y[b]
+            baby_steps = np.empty((len(yb), baby), dtype=complex)
+            baby_steps[:, 0] = 1.0
+            baby_steps[:, 1:] = yb[:, None]
+            np.cumprod(baby_steps, axis=1, out=baby_steps)
+            giant_steps = np.empty((len(yb), giant), dtype=complex)
+            giant_steps[:, 0] = 1.0
+            giant_steps[:, 1:] = (baby_steps[:, -1] * yb)[:, None]
+            np.cumprod(giant_steps, axis=1, out=giant_steps)
+            q = (baby_steps.view(float) @ lin).view(complex)
+            p, dp = np.einsum("ikj,ij->ki", q.reshape(-1, 2, giant),
+                              giant_steps)
+            backward[at[b]] = np.abs(p) / np.einsum(
+                "ij,ij->i", np.abs(baby_steps) @ size, np.abs(giant_steps))
             if outer:
-                ratio[at[b]] = z[at[b]] * p / (n * p - y[b] * dp)
+                ratio[at[b]] = z[at[b]] * p / (n * p - yb * dp)
             else:
                 ratio[at[b]] = p / dp
     return ratio, backward
@@ -136,19 +170,27 @@ def _aberth(c):
     """All N roots of sum c_k z^k, c_0 and c_N nonzero, by Aberth-Ehrlich.
 
     Simultaneous (Jacobi) sweeps z_i -= r_i / (1 - r_i sum_{j != i}
-    1 / (z_i - z_j)), with r = p/p', from N points on the circle of
-    radius |c_0 / c_N|^{1/N}, turned by 0.7 rad so that no start lies on
-    the real axis, where the iterates of a real polynomial would stay.
-    An iterate freezes once its step is below 1e-15 |z| or its backward
-    error is at rounding level, which is where the iterates of a multiple
-    root stop.  Raises RootsNotConverged when any iterate still moves
+    1 / (z_i - z_j)), with r = p/p', from N points spread in angle around
+    the circle of radius |c_0 / c_N|^{1/N}.  They are turned by 0.7 rad
+    so that no start lies on the real axis, where the iterates of a real
+    polynomial would stay.  Their radii alternate between
+    radius e^{+-_START_OFF}, which breaks the symmetry z -> 1/conj(z) as
+    the turn breaks the real-axis one: a real mode's restriction has
+    nu(-n) = conj(nu(n)), so |c_0| = |c_N|, the radius is 1, and
+    iterates started on the unit circle stay on it until rounding
+    pushes them off, about ten sweeps at degree 600.  An iterate freezes
+    once its step is below 1e-15 |z| or its backward error is at
+    rounding level, which is where the iterates of a multiple root
+    stop.  Raises RootsNotConverged when any iterate still moves
     after _MAX_SWEEPS sweeps.
     """
     n = len(c) - 1
     if n < 1:
         return np.empty(0, dtype=complex)
     radius = abs(c[0] / c[-1]) ** (1.0 / n)
-    z = radius * np.exp(1j * (2.0 * np.pi * np.arange(n) / n + 0.7))
+    k = np.arange(n)
+    z = radius * np.exp(_START_OFF * (-1.0) ** k
+                        + 1j * (2.0 * np.pi * k / n + 0.7))
     moving = np.arange(n)
     for _ in range(_MAX_SWEEPS):
         zi = z[moving]
@@ -278,8 +320,10 @@ def argument_principle_count(spectrum, box, n0=64, max_refine=12):
     Adaptive phase tracking along the boundary: the sampling starts at
     n0 points per edge, and at no fewer than 4 per period of the top
     frequency along the t edges, and is doubled until every consecutive
-    phase increment is below pi/2, then the total winding is an integer
-    by construction.  The values are divided by the tau-only scale
+    phase increment is below pi/2 at two successive samplings that give
+    the same winding: near a zero just off the edge the phase can turn
+    by 2 pi + delta between two samples and pass the test as delta, but
+    not at both samplings.  The values are divided by the tau-only scale
     sum |nu(n)| e^{-2 pi n tau / L} before the near-zero test, so the
     growth of |f| across the strip does not read as a zero.  Boxes with
     a near-boundary zero are dilated slightly, three attempts.
@@ -288,6 +332,7 @@ def argument_principle_count(spectrum, box, n0=64, max_refine=12):
     for attempt in range(3):
         t0, t1, u0, u1 = box
         n = max(n0, math.ceil(4 * top * (t1 - t0) / spectrum.period))
+        last = None      # the winding of the previous sampling
         for _ in range(max_refine):
             vals = _boundary_values(spectrum, box, n)
             mags = np.abs(vals) / _boundary_scale(spectrum, box, n)
@@ -295,9 +340,12 @@ def argument_principle_count(spectrum, box, n0=64, max_refine=12):
                 break    # zero on boundary, dilate
             dphi = np.diff(np.angle(vals))
             dphi = (dphi + np.pi) % (2 * np.pi) - np.pi
+            winding = None
             if np.max(np.abs(dphi)) < 0.5 * np.pi:
-                total = float(np.sum(dphi))
-                return int(round(total / (2.0 * np.pi)))
+                winding = int(round(float(np.sum(dphi)) / (2.0 * np.pi)))
+                if winding == last:
+                    return winding
+            last = winding
             n *= 2
         pad = 1e-5 * (attempt + 1)
         box = (t0 - pad, t1 + pad, u0 - pad, u1 + pad)

@@ -155,6 +155,21 @@ def test_tau_blocks_bound_the_grid_memory():
     rows = [0, 1000, -1]
     assert column[rows, 0] == pytest.approx(
         np.sin(50 * (0.5 + 1j * tau[rows])), rel=1e-12)
+    # one row of 3 x 2^16 scattered points: three dense column blocks of
+    # 64 MB, each built from a 32 MB real outer product and exponentiated
+    # in place (about 98 MB peak); with a new array for the exponential,
+    # and the last block alive while the next was built, it took 130 MB
+    t = np.linspace(0.0, 2.0, 3 * 2 ** 16) ** 1.5
+    tracemalloc.start()
+    try:
+        row = continue_periodic_grid(sine_spectrum(50), t, 0.1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 112 << 20
+    cols = [0, 70000, -1]
+    assert row[0, cols] == pytest.approx(np.sin(50 * (t[cols] + 0.1j)),
+                                         rel=1e-12)
 
 
 def test_grid_guards_the_strip_and_float_range():

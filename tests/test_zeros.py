@@ -118,15 +118,24 @@ def test_aberth_matches_np_roots(seed, kind):
 
 
 def test_ratios_match_polyval():
-    # np.polyval (Horner on the plain coefficients) is the oracle
-    for seed in range(50):
+    # np.polyval (Horner on the plain coefficients) is the oracle.  Degrees
+    # 1-3 have runs of one and two coefficients; the 25 coefficients of
+    # degree 24 fill 5 runs of 5, degree 26 (6 runs of 5) and degree 601
+    # (26 runs of 24) leave zero padding in the last run, and the 400
+    # points a side at degree 601 span several row blocks
+    cases = [(degree, seed) for seed, degree in enumerate([1, 2, 3, 24, 26])]
+    cases += [(601, 0), (601, 1)]
+    cases += [(None, seed) for seed in range(50)]
+    for degree, seed in cases:
         rng = np.random.default_rng(seed)
-        degree = int(rng.integers(6, 61))
+        if degree is None:
+            degree = int(rng.integers(6, 61))
+        m = 400 if degree == 601 else 20
         c = rng.standard_normal(degree + 1) \
             + 1j * rng.standard_normal(degree + 1)
         # half the points inside the unit circle, half outside
-        z = np.exp(np.r_[rng.uniform(-0.7, 0.0, 20), rng.uniform(0.0, 0.7, 20)]
-                   + 1j * rng.uniform(0.0, 2 * np.pi, 40))
+        z = np.exp(np.r_[rng.uniform(-0.7, 0.0, m), rng.uniform(0.0, 0.7, m)]
+                   + 1j * rng.uniform(0.0, 2 * np.pi, 2 * m))
         ratio, backward = zeros._ratios(c, z)
         p = np.polyval(c[::-1], z)
         dp = np.polyval(np.polyder(c[::-1]), z)
@@ -153,6 +162,16 @@ def test_aberth_keeps_the_companion_roots_at_lambda_300(lam300):
     w = np.where(w.real > L - 1e-6, w - L, w)
     assert zs.count() == len(kept) == 600
     _assert_same_roots(got, w, 1e-12)
+
+
+def test_aberth_converges_in_twenty_sweeps_at_lambda_300(monkeypatch):
+    # from starts on the unit circle it took 23-26 sweeps: the iterates
+    # of a real restriction stay on |z| = 1 until rounding moves them
+    monkeypatch.setattr(zeros, "_MAX_SWEEPS", 20)
+    for seed in range(5):
+        spec = exact_restriction_spectrum(
+            sample_random_wave(300.0, 1.0, seed), torus_geodesic((1, 0)))
+        assert not laurent_roots(spec, tau_max=0.2).conditioning_warning
 
 
 def test_aberth_raises_when_iterates_still_move(monkeypatch):
@@ -231,6 +250,19 @@ def test_boundary_zero_still_raises():
     cube = OrbitalSpectrum(9.0, L, {-9: h, -3: -3 * h, 3: 3 * h, 9: -h})
     with pytest.raises(BoundaryZero):
         argument_principle_count(cube, (np.pi / 3, 2.0, -0.3, 0.3))
+
+
+def test_edge_zero_is_never_miscounted():
+    # sin(3t)^3 again: the bottom edge runs through the triple zero at
+    # (pi/3, 0), which is inside once the box is dilated.  Close to it a
+    # phase step of 2 pi + delta once passed the pi/2 test as delta, and
+    # the count read 2
+    h = 1 / 8j
+    cube = OrbitalSpectrum(9.0, L, {-9: h, -3: -3 * h, 3: 3 * h, 9: -h})
+    try:
+        assert argument_principle_count(cube, (0.5, 2.0, 0.0, 0.3)) == 3
+    except BoundaryZero:
+        pass
 
 
 def test_argument_principle_matches_companion():
