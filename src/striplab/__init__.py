@@ -21,17 +21,16 @@ from .geodesics import (HorizontalSection, ReturnRecord,
 from .fourier import (GaussianFactor, OrbitalSpectrum, RestrictionSamples,
                       WindowedSpectrum, band_mass,
                       exact_restriction_spectrum, orbital_coefficients,
-                      paley_wiener_check, plancherel_check,
-                      sample_arc, sample_restriction, windowed_transform)
+                      plancherel_check, sample_arc, sample_restriction,
+                      windowed_transform)
 from .growth import (GrowthProfile, Strip, check_growth_bound,
                      continue_periodic_grid, continue_windowed, growth_profile,
-                     hartogs_dichotomy_check, l2_growth_exponent,
-                     select_window, sup_growth_exponent, tempered_weyl_sum)
-from .zeros import (BoxIndicator, CosineWindow, GaussianBump, ZeroSet,
+                     l2_growth_exponent, select_window, sup_growth_exponent,
+                     tempered_weyl_sum)
+from .zeros import (BoxIndicator, ZeroSet,
                     argument_principle_count, empirical_measure_pairing,
                     laurent_roots, lelong_box_integral, lelong_density)
 from .wigner import (BandCutoff, GaussianSymbol, Interval, WignerDensity,
-                     chebyshev_density_filter, moving_pullback,
                      normalized_pullback, qer_matrix_element,
                      translation_invariance_stat, wigner_pairing)
 from .experiments import (ResultRecord, emit_plots, run_experiment,

@@ -85,10 +85,6 @@ class SupportLeak(StripLabError):
     pass
 
 
-class RangeExceeded(StripLabError):
-    pass
-
-
 class OffShell(StripLabError):
     pass
 

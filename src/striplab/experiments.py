@@ -31,7 +31,7 @@ from .growth import continue_periodic_grid, l2_growth_exponent, select_window
 from .surfaces import (TORUS_SIDE, SurfaceModel, GeodesicState,
                        sample_random_wave, torus_geodesic)
 from .svgplot import Figure
-from .wigner import (BandCutoff, GaussianSymbol, Interval, moving_pullback,
+from .wigner import (BandCutoff, GaussianSymbol, Interval,
                      normalized_pullback, qer_matrix_element,
                      translation_invariance_stat)
 from .zeros import BoxIndicator, empirical_measure_pairing, laurent_roots
@@ -486,7 +486,7 @@ def _run_nonperiodic_window(cfg, rec):
         window_err = abs((n_sel + width / 2.0 - t0 + np.pi) % TORUS_SIDE
                          - np.pi)
         shift = t0 - interval.mid
-        dens = moving_pullback([spec], tau, interval, [shift])[0]
+        dens = normalized_pullback(spec.shifted(shift), tau, interval)
         peak = float(dens.tgrid[int(np.argmax(dens.samples))])
         peak_err = abs(peak - interval.mid)
         cell_ok = (window_err <= dt * 1.5

@@ -10,7 +10,6 @@ factor G; nu^G(sigma) = int G(t) phi(gamma(t)) e^{-i t sigma} dt.
 
 from __future__ import annotations
 
-import json
 from dataclasses import InitVar, dataclass, replace
 from types import MappingProxyType
 
@@ -22,15 +21,10 @@ from .surfaces import evaluate_mode_grid
 
 @dataclass(frozen=True)
 class GaussianFactor:
-    """Convergence factor e^{-t^2/2}; entire, with explicit continuation."""
+    """Convergence factor e^{-t^2/2}."""
 
     def __call__(self, t):
         return np.exp(-0.5 * np.asarray(t) ** 2)
-
-    def continuation(self, z):
-        return np.exp(-0.5 * np.asarray(z, dtype=complex) ** 2)
-
-    name = "Gaussian"
 
 
 @dataclass(eq=False)
@@ -96,45 +90,19 @@ class OrbitalSpectrum:
         return replace(self, coeffs=self.coeffs
                        * np.exp(1j * w * self.freqs * s))
 
-    def to_json(self):
-        obj = {"lambda": self.lam, "period": self.period,
-               "tau_max": self.tau_max,
-               "entries": [[n, v.real, v.imag]
-                           for n, v in self.entries.items()]}
-        return json.dumps(obj)
-
-    @staticmethod
-    def from_json(text):
-        obj = json.loads(text)
-        return OrbitalSpectrum(
-            obj["lambda"], obj["period"],
-            {int(n): complex(re, im) for n, re, im in obj["entries"]},
-            tau_max=obj["tau_max"])
-
-    def to_csv(self):
-        lines = ["n,re,im"]
-        for n, v in self.entries.items():
-            lines.append("%d,%r,%r" % (n, v.real, v.imag))
-        return "\n".join(lines) + "\n"
-
 
 @dataclass(eq=False)
 class WindowedSpectrum:
     """Windowed transform nu^G(sigma) of a non-periodic arc.
 
-    Values on a uniform sigma grid, the convergence factor G that produced
-    them and the bound on |G| at the ends of the sampled arc.
+    Values on a uniform sigma grid and the bound on |G| at the ends of the
+    sampled arc.
     """
 
     lam: float
     sigma: np.ndarray
     values: np.ndarray
-    factor: object
     truncation_error: float
-
-    def total_mass(self):
-        dsig = self.sigma[1] - self.sigma[0]
-        return float(np.trapezoid(np.abs(self.values) ** 2, dx=dsig))
 
 
 @dataclass(frozen=True)
@@ -228,49 +196,22 @@ def windowed_transform(samples, factor, sigma_grid):
     w = np.full(len(t), dt)
     w[0] = w[-1] = 0.5 * dt
     vals = kernel @ (g * w)
-    return WindowedSpectrum(samples.lam, sigma, vals, factor, trunc)
+    return WindowedSpectrum(samples.lam, sigma, vals, trunc)
 
 
 def band_mass(spectrum, a, b):
     """Squared-coefficient mass in the frequency band a*lam <= |freq| <= b*lam.
 
-    Frequencies are measured in the geodesic's natural units 2 pi n / L
-    (periodic) or sigma (aperiodic).  Additive over disjoint bands and
-    totals the full mass on [0, 1 + margin].
+    Frequencies are measured in the geodesic's natural units 2 pi n / L.
+    Additive over disjoint bands and totals the full mass on
+    [0, 1 + margin].
     """
     lam = spectrum.lam
     if lam <= 0:
         raise ZeroEigenvalue("band_mass needs lam > 0")
-    lo, hi = a * lam, b * lam
-    if isinstance(spectrum, OrbitalSpectrum):
-        freq = np.abs(2.0 * np.pi / spectrum.period * spectrum.freqs)
-        mask = (freq >= lo) & (freq <= hi)
-        return float(np.sum(np.abs(spectrum.coeffs[mask]) ** 2))
-    mask = (np.abs(spectrum.sigma) >= lo) & (np.abs(spectrum.sigma) <= hi)
-    dsig = spectrum.sigma[1] - spectrum.sigma[0]
-    return float(np.sum(np.abs(spectrum.values[mask]) ** 2) * dsig)
-
-
-def paley_wiener_check(spectrum, tau, m=2):
-    """Check |nu(n)|^2 <= lam^{(m-1)/2} e^{2 |tau| (lam - |n|)} for |n| >= lam.
-
-    High angular momentum beyond the eigenvalue must decay exponentially
-    at the strip rate; violations name the offending frequency.
-    """
-    lam = spectrum.lam
-    if lam <= 0:
-        raise ZeroEigenvalue
-    high = np.abs(spectrum.freqs) >= lam
-    ns = spectrum.freqs[high]
-    mass = np.abs(spectrum.coeffs[high]) ** 2
-    bound = lam ** ((m - 1) / 2.0) * np.exp(2 * abs(tau) * (lam - np.abs(ns)))
-    margin = mass - bound
-    rows = [{"n": int(n), "mass": float(a), "bound": float(b),
-             "ok": bool(a <= b)} for n, a, b in zip(ns, mass, bound)]
-    worst = int(np.argmax(margin)) if rows else None
-    return {"rows": rows, "passed": all(r["ok"] for r in rows),
-            "worst_margin": float(margin[worst]) if rows else 0.0,
-            "worst_n": rows[worst]["n"] if rows else None}
+    freq = np.abs(2.0 * np.pi / spectrum.period * spectrum.freqs)
+    mask = (freq >= a * lam) & (freq <= b * lam)
+    return float(np.sum(np.abs(spectrum.coeffs[mask]) ** 2))
 
 
 def plancherel_check(samples, factor, tau, sigma_grid, sgrid):

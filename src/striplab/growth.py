@@ -15,7 +15,6 @@ import numpy as np
 
 from .errors import (ContinuationOverflow, EmptySpectrum, GridTooCoarse,
                      OffShell, StripExceeded, ZeroEigenvalue)
-from .fourier import OrbitalSpectrum
 from .geodesics import flat_sqrt_rho
 
 LOG_FLOOR = -50.0
@@ -143,13 +142,12 @@ def _fft_rows(coeffs, n_min, m, nt):
     return (np.fft.ifft(folded, axis=1) * m)[:, np.arange(nt) % m]
 
 
-def continue_windowed(spectrum, z, divide_factor=False, tol=1e-6):
+def continue_windowed(spectrum, z, tol=1e-6):
     """Continuation of G . f by Fourier inversion of nu^G.
 
     (1/2 pi) int e^{i z sigma} nu^G(sigma) d sigma on the stored sigma
     grid; the grid must cover [-lam - 5, lam + 5] and a half-resolution
-    comparison must agree to tol relatively, else GridTooCoarse.  With
-    divide_factor the Gaussian factor's own continuation is divided out.
+    comparison must agree to tol relatively, else GridTooCoarse.
     """
     sig, nu = spectrum.sigma, spectrum.values
     if sig[0] > -spectrum.lam - 5 or sig[-1] < spectrum.lam + 5:
@@ -166,8 +164,6 @@ def continue_windowed(spectrum, z, divide_factor=False, tol=1e-6):
     scale = np.max(np.abs(fine)) + 1e-300
     if np.max(np.abs(fine - coarse)) / 3.0 > tol * scale:
         raise GridTooCoarse("inversion quadrature error above tolerance")
-    if divide_factor:
-        fine = fine / spectrum.factor.continuation(z)
     return fine if fine.shape else complex(fine)
 
 
@@ -175,12 +171,7 @@ def growth_profile(spectrum, strip):
     """Grid evaluation of v = (1/lam) log |f|^2, log clamped at the floor."""
     if spectrum.lam <= 0:
         raise ZeroEigenvalue("growth profile needs lam > 0")
-    t, tau = strip.t_values, strip.tau_values
-    if isinstance(spectrum, OrbitalSpectrum):
-        f = continue_periodic_grid(spectrum, t, tau)
-    else:
-        zz = t[None, :] + 1j * tau[:, None]
-        f = continue_windowed(spectrum, zz, divide_factor=True)
+    f = continue_periodic_grid(spectrum, strip.t_values, strip.tau_values)
     with np.errstate(divide="ignore"):
         v = np.log(np.abs(f) ** 2) / spectrum.lam
     v = np.maximum(v, LOG_FLOOR)
@@ -273,51 +264,3 @@ def tempered_weyl_sum(zeta, lam, tau):
     expo = (-2.0 * tau * norm[mask]
             - 2.0 * (n1[mask] * im1 + n2[mask] * im2))
     return float(np.sum(np.exp(expo))) / (2.0 * np.pi) ** 2
-
-
-def hartogs_dichotomy_check(profiles, eps, probe, n_translates=8):
-    """Deficiency dichotomy for a family of profiles with increasing lam.
-
-    Estimates the limiting v on the probe interval and on disjoint
-    translates along the top tau line, using the largest-lam profiles.
-    If the family is eps-deficient on the probe it must be deficient (to
-    eps/2) on every translate; the report also carries the global upper
-    bound max v <= 2 tau + 6 log(lam)/lam.
-    """
-    if len(profiles) < 3:
-        raise ValueError("need at least 3 profiles")
-    lams = [p.lam for p in profiles]
-    if any(b <= a for a, b in zip(lams, lams[1:])):
-        raise ValueError("profiles must have strictly increasing lam")
-
-    strip = profiles[-1].strip
-    tau_top = strip.tau_values[-1]
-    t = strip.t_values
-
-    def line_mean(profile, interval):
-        mask = (t >= interval[0]) & (t <= interval[1])
-        return float(np.mean(profile.values[-1, mask]))
-
-    # limsup proxy: max over the two largest-lam members
-    def est(interval):
-        return max(line_mean(p, interval) for p in profiles[-2:])
-
-    width = probe[1] - probe[0]
-    span = strip.t1 - strip.t0
-    starts = np.linspace(strip.t0, strip.t1 - width,
-                         n_translates, endpoint=True)
-    translates = [(s, s + width) for s in starts]
-
-    target = 2.0 * abs(tau_top) - eps
-    probe_est = est(probe)
-    probe_deficient = probe_est < target
-    translate_ests = [est(iv) for iv in translates]
-    if probe_deficient:
-        holds = all(e <= target + eps / 2.0 for e in translate_ests)
-    else:
-        holds = True
-    bound_ok = all(check_growth_bound(p)[0] == 0 for p in profiles)
-    return {"probe_estimate": probe_est, "probe_deficient": probe_deficient,
-            "translate_estimates": translate_ests,
-            "dichotomy_holds": holds, "global_bound_ok": bound_ok,
-            "target": target, "span": span}

@@ -10,7 +10,6 @@ through equator restrictions of spherical harmonics.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, replace
 
@@ -88,24 +87,6 @@ class Eigenmode:
         return (np.array_equal(self.ns[::-1], -self.ns)
                 and bool(np.all(np.abs(c[::-1] - np.conj(c))
                                 <= 1e-12 * (1 + np.abs(c)))))
-
-    def to_json(self):
-        obj = {
-            "lambda": self.lam,
-            "delta": self.delta,
-            "terms": [[n1, n2, c.real, c.imag] for (n1, n2), c in self.terms],
-        }
-        if self.seed is not None:
-            obj["seed"] = self.seed
-        return json.dumps(obj)
-
-    @staticmethod
-    def from_json(text):
-        obj = json.loads(text)
-        t = np.array(obj["terms"], dtype=float).reshape(-1, 4)
-        return Eigenmode(obj["lambda"], t[:, :2].astype(int),
-                         t[:, 2] + 1j * t[:, 3],
-                         delta=obj.get("delta", 0.0), seed=obj.get("seed"))
 
 
 @dataclass(frozen=True)

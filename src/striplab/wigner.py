@@ -14,11 +14,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import RangeExceeded, SupportLeak, VanishingRestriction
-from .fourier import OrbitalSpectrum, band_mass
+from .errors import SupportLeak, VanishingRestriction
+from .fourier import band_mass
 from .growth import continue_periodic_grid
+from .surfaces import TORUS_VOLUME
 
-SPHERE_COTANGENT_VOLUME = 2.0 * np.pi * (2.0 * np.pi) ** 2   # vol(S*M), torus
+COSPHERE_VOLUME = 2.0 * np.pi * TORUS_VOLUME     # vol(S*M) of the flat torus
 
 
 @dataclass(frozen=True)
@@ -146,22 +147,6 @@ def translation_invariance_stat(density, symbol, shift):
     return gap, deriv
 
 
-def moving_pullback(spectra, tau, interval, shifts):
-    """Normalized densities after translating each restriction by N_j.
-
-    Torus translations act exactly on periodic spectra through the phase
-    factors e^{2 pi i n N / L}, so a full period is the identity.
-    """
-    if len(spectra) != len(shifts):
-        raise ValueError("one shift per spectrum")
-    out = []
-    for spec, nj in zip(spectra, shifts):
-        if not isinstance(spec, OrbitalSpectrum):
-            raise RangeExceeded("moving pullback needs periodic spectra")
-        out.append(normalized_pullback(spec.shifted(nj), tau, interval))
-    return out
-
-
 def qer_matrix_element(spectrum, chi):
     """Matrix element of a frequency cutoff against a periodic restriction.
 
@@ -172,23 +157,6 @@ def qer_matrix_element(spectrum, chi):
     ratios are convention free.
     """
     value = band_mass(spectrum, chi.a, chi.b)
-    reference = (4.0 / SPHERE_COTANGENT_VOLUME * spectrum.period
+    reference = (4.0 / COSPHERE_VOLUME * spectrum.period
                  * chi.limit_integral())
     return value, reference
-
-
-def chebyshev_density_filter(statistics, r):
-    """Indices with X(j) <= mean + R and the guaranteed density bound.
-
-    For any nonnegative sequence with Cesaro mean M, the retained set has
-    counting density at least R / (M + R); on a finite list this is an
-    exact pigeonhole bound.
-    """
-    x = np.asarray(statistics, dtype=float)
-    if np.any(x < 0):
-        raise ValueError("statistics must be nonnegative")
-    if r <= 0:
-        raise ValueError("R must be positive")
-    mean = float(np.mean(x)) if len(x) else 0.0
-    kept = [int(i) for i in np.nonzero(x <= mean + r)[0]]
-    return kept, r / (mean + r)

@@ -380,39 +380,6 @@ class BoxIndicator:
         return (self.t1 - self.t0) / math.pi
 
 
-@dataclass(frozen=True)
-class GaussianBump:
-    center: float
-    width: float
-    tau0: float = np.inf
-
-    def __call__(self, z):
-        if abs(z.imag) > self.tau0:
-            return 0.0
-        u = (z.real - self.center) / self.width
-        return math.exp(-0.5 * u * u)
-
-    def reference(self):
-        return self.width * math.sqrt(2.0 * math.pi) / math.pi
-
-
-@dataclass(frozen=True)
-class CosineWindow:
-    """Raised-cosine window on [t0, t1], any tau."""
-
-    t0: float
-    t1: float
-
-    def __call__(self, z):
-        if not (self.t0 <= z.real <= self.t1):
-            return 0.0
-        u = (z.real - self.t0) / (self.t1 - self.t0)
-        return 0.5 * (1.0 - math.cos(2.0 * math.pi * u))
-
-    def reference(self):
-        return 0.5 * (self.t1 - self.t0) / math.pi
-
-
 def lelong_density(profile):
     """Zero-counting density from the log-modulus Laplacian.
 

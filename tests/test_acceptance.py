@@ -6,7 +6,6 @@ ensembles are session fixtures so the whole gate stays within its runtime
 budgets.
 """
 
-import json
 import math
 import os
 import time

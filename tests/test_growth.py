@@ -6,17 +6,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from striplab import (OrbitalSpectrum, Strip, check_growth_bound,
-                      continue_periodic_grid, exact_restriction_spectrum,
+from striplab import (GaussianFactor, OrbitalSpectrum, RestrictionSamples,
+                      Strip, check_growth_bound, continue_periodic_grid,
+                      continue_windowed, exact_restriction_spectrum,
                       growth_profile, l2_growth_exponent,
                       sample_random_wave, select_window,
                       sphere_equator_spectrum, sup_growth_exponent,
-                      tempered_weyl_sum, torus_geodesic)
+                      tempered_weyl_sum, torus_geodesic, windowed_transform)
 from striplab.errors import (ContinuationOverflow, EmptySpectrum,
                              GridTooCoarse, OffShell, StripExceeded,
                              ZeroEigenvalue)
 from striplab.experiments import sine_spectrum
-from striplab.growth import _period_steps, hartogs_dichotomy_check
+from striplab.growth import _period_steps
 from striplab.zeros import _boundary_values
 
 L = 2 * np.pi
@@ -186,6 +187,26 @@ def test_grid_guards_the_strip_and_float_range():
         continue_periodic_grid(big, 0.1, 0.3)
 
 
+def test_windowed_continuation_guards_the_sigma_grid():
+    mu = 10.0
+    t = np.linspace(-7.5, 7.5, 4096)
+    samples = RestrictionSamples(t, np.exp(1j * mu * t), lam=mu)
+    z = np.linspace(-7.5, 7.5, 256) + 0.2j
+
+    def continued(sigma):
+        spec = windowed_transform(samples, GaussianFactor(), sigma)
+        return continue_windowed(spec, z)
+
+    with pytest.raises(GridTooCoarse, match="does not cover the energy band"):
+        continued(np.linspace(4, 16, 241))
+    with pytest.raises(GridTooCoarse, match="quadrature error above"):
+        continued(np.linspace(-18, 18, 37))
+    # G(z) e^{i mu z}, the continuation of the windowed single frequency
+    exact = np.exp(-0.5 * z * z + 1j * mu * z)
+    assert np.max(np.abs(continued(np.linspace(-18, 18, 721)) - exact)) \
+        < 1e-10
+
+
 def test_sine_continuation_is_sine():
     spec = sine_spectrum(7)
     z = 1.1 + 0.2j
@@ -283,12 +304,3 @@ def test_growth_bound_slack_positive(tau):
     prof = growth_profile(spec, Strip(0.0, L, tau))
     violations, _ = check_growth_bound(prof)
     assert violations == 0
-
-
-def test_hartogs_dichotomy_report():
-    specs = [sine_spectrum(n) for n in (20, 40, 80)]
-    profiles = [growth_profile(s, Strip(0.0, L, 0.3)) for s in specs]
-    report = hartogs_dichotomy_check(profiles, eps=0.05, probe=(1.0, 2.0))
-    assert report["global_bound_ok"]
-    with pytest.raises(ValueError):
-        hartogs_dichotomy_check(profiles[:2], eps=0.05, probe=(1.0, 2.0))

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from striplab import (Eigenmode, GeodesicState, SurfaceModel,
+from striplab import (GeodesicState, SurfaceModel,
                       annulus_lattice_points, evaluate_mode_grid,
                       make_torus_mode, sample_random_wave,
                       sphere_equator_spectrum, torus_geodesic)
@@ -111,14 +111,6 @@ def test_random_wave_real_valued_on_grid():
     vals = evaluate_mode_grid(mode, xs, 0.3 * xs)
     assert vals.shape == xs.shape
     assert np.max(np.abs(vals.imag)) < 1e-12
-
-
-def test_mode_json_round_trip():
-    mode = sample_random_wave(10.0, 0.5, 1)
-    back = Eigenmode.from_json(mode.to_json())
-    assert back.lam == mode.lam
-    assert back.terms == mode.terms
-    assert back.seed == mode.seed
 
 
 def test_single_mode_evaluation():

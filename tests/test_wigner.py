@@ -2,12 +2,9 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from striplab import (BandCutoff, GaussianSymbol, Interval,
-                      OrbitalSpectrum, chebyshev_density_filter,
-                      moving_pullback, normalized_pullback,
+                      OrbitalSpectrum, normalized_pullback,
                       qer_matrix_element, sample_random_wave,
                       sample_restriction, torus_geodesic,
                       translation_invariance_stat, wigner_pairing)
@@ -70,7 +67,7 @@ def test_moving_pullback_full_period_identity():
     spec = _spec(seed=3)
     interval = Interval(1.0, 1.0 + spec.period / 2)
     base = normalized_pullback(spec, 0.1, interval)
-    moved = moving_pullback([spec], 0.1, interval, [spec.period])[0]
+    moved = normalized_pullback(spec.shifted(spec.period), 0.1, interval)
     assert np.max(np.abs(moved.samples - base.samples)) < 1e-10
 
 
@@ -92,23 +89,6 @@ def test_qer_band_ratio_reference():
         2.0 * (math.asin(1.0) - math.asin(0.5)))
     assert chi.limit_integral() / BandCutoff(0.0, 1.0).limit_integral() \
         == pytest.approx(2.0 / 3.0)
-
-
-@settings(max_examples=40, deadline=None)
-@given(xs=st.lists(st.floats(0.0, 100.0), min_size=1, max_size=200),
-       r=st.floats(0.1, 10.0))
-def test_chebyshev_filter_pigeonhole(xs, r):
-    kept, bound = chebyshev_density_filter(xs, r)
-    assert len(kept) / len(xs) >= bound - 1e-12
-    mean = float(np.mean(xs))
-    assert all(xs[i] <= mean + r for i in kept)
-
-
-def test_chebyshev_filter_rejects_bad_input():
-    with pytest.raises(ValueError):
-        chebyshev_density_filter([-1.0, 2.0], 1.0)
-    with pytest.raises(ValueError):
-        chebyshev_density_filter([1.0], 0.0)
 
 
 def test_wigner_pairing_constant_symbol_scale():

@@ -6,12 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from striplab import (BoxIndicator, CosineWindow, GaussianBump,
-                      OrbitalSpectrum, Strip, argument_principle_count,
-                      empirical_measure_pairing, exact_restriction_spectrum,
-                      growth_profile, laurent_roots, lelong_box_integral,
-                      lelong_density, sample_random_wave, torus_geodesic,
-                      zeros)
+from striplab import (BoxIndicator, OrbitalSpectrum, Strip,
+                      argument_principle_count, empirical_measure_pairing,
+                      exact_restriction_spectrum, growth_profile,
+                      laurent_roots, lelong_box_integral, lelong_density,
+                      sample_random_wave, torus_geodesic, zeros)
 from striplab.errors import (BoundaryZero, DegenerateSpectrum,
                              RootsNotConverged, StripExceeded)
 from striplab.experiments import sine_spectrum
@@ -292,16 +291,6 @@ def test_pairing_sine_box_exact():
     val, ref = empirical_measure_pairing(zs, BoxIndicator(0.0, L, 0.5))
     assert ref == pytest.approx(2.0)
     assert val == pytest.approx(2.0, abs=1e-12)
-
-
-def test_pairing_other_test_functions():
-    zs = laurent_roots(sine_spectrum(40), tau_max=0.5)
-    bump = GaussianBump(np.pi, 0.7)
-    val, ref = empirical_measure_pairing(zs, bump)
-    # zeros are pi/40-spaced on the axis: a Riemann sum of the reference
-    assert val == pytest.approx(ref, rel=1e-3)
-    cos_val, cos_ref = empirical_measure_pairing(zs, CosineWindow(0.0, L))
-    assert cos_val == pytest.approx(cos_ref, rel=1e-6)
 
 
 def test_lelong_density_recovers_sine_count():
