@@ -18,7 +18,7 @@ from .geodesics import (HorizontalSection, ReturnRecord,
                         asymmetry_diagnostic, first_return,
                         flat_complex_geodesic, flat_sqrt_rho,
                         integrate_complex_geodesic, reflect_state)
-from .fourier import (GaussianFactor, OrbitalSpectrum, RestrictionSamples,
+from .fourier import (OrbitalSpectrum, RestrictionSamples,
                       WindowedSpectrum, band_mass,
                       exact_restriction_spectrum, orbital_coefficients,
                       plancherel_check, sample_arc, sample_restriction,

@@ -4,8 +4,8 @@ Periodic case: a restriction to a closed geodesic of period L has Fourier
 coefficients nu(n) = (1/L) int_0^L phi(gamma(t)) e^{-2 pi i n t / L} dt,
 computed exactly on uniform grids (the quadrature is the DFT and is exact
 for band-limited restrictions above Nyquist).  Non-periodic case: the
-transform only makes sense against an analytic decaying convergence
-factor G; nu^G(sigma) = int G(t) phi(gamma(t)) e^{-i t sigma} dt.
+transform needs an analytic decaying convergence factor, the Gaussian
+G(t) = e^{-t^2/2}: nu^G(sigma) = int G(t) phi(gamma(t)) e^{-i t sigma} dt.
 """
 
 from __future__ import annotations
@@ -16,15 +16,8 @@ from types import MappingProxyType
 import numpy as np
 
 from .errors import Undersampled, WindowTooShort, ZeroEigenvalue
+from .growth import _exp_sum, continue_windowed
 from .surfaces import evaluate_mode_grid
-
-
-@dataclass(frozen=True)
-class GaussianFactor:
-    """Convergence factor e^{-t^2/2}."""
-
-    def __call__(self, t):
-        return np.exp(-0.5 * np.asarray(t) ** 2)
 
 
 @dataclass(eq=False)
@@ -119,24 +112,24 @@ def sample_restriction(mode, state, count=1024):
     """Sample a torus mode along one period of a closed geodesic."""
     if state.period is None:
         raise ValueError("state must be periodic; use sample_arc instead")
-    if count & (count - 1):
-        raise ValueError("sample count must be a power of two")
     t = np.arange(count) * (state.period / count)
-    x1 = state.x[0] + t * state.xi[0]
-    x2 = state.x[1] + t * state.xi[1]
-    vals = evaluate_mode_grid(mode, x1, x2)
-    return RestrictionSamples(t, vals, mode.lam, period=state.period)
+    return _sample_line(mode, state, t, state.period)
 
 
 def sample_arc(mode, state, half_length, count=4096):
     """Sample a torus mode along the arc t in [-T, T] of a geodesic."""
-    if count & (count - 1):
-        raise ValueError("sample count must be a power of two")
     t = np.linspace(-half_length, half_length, count)
+    return _sample_line(mode, state, t)
+
+
+def _sample_line(mode, state, t, period=None):
+    """The mode at the points x0 + t xi of the geodesic."""
+    if not len(t) or len(t) & (len(t) - 1):
+        raise ValueError("sample count must be a power of two")
     x1 = state.x[0] + t * state.xi[0]
     x2 = state.x[1] + t * state.xi[1]
     vals = evaluate_mode_grid(mode, x1, x2)
-    return RestrictionSamples(t, vals, mode.lam)
+    return RestrictionSamples(t, vals, mode.lam, period)
 
 
 def exact_restriction_spectrum(mode, state):
@@ -177,25 +170,24 @@ def orbital_coefficients(samples, n_max):
                            coeffs=coeffs, parseval_defect=defect)
 
 
-def windowed_transform(samples, factor, sigma_grid):
+def windowed_transform(samples, sigma_grid):
     """nu^G(sigma) = int G(t) f(t) e^{-i t sigma} dt on a uniform grid.
 
-    Trapezoidal quadrature over the sampled arc [-T, T]; the Gaussian
-    factor must be below 1e-12 at the endpoints.  Truncation and spacing
-    are recorded on the result.
+    Trapezoidal quadrature over the sampled arc, which must hold [-T, T]
+    with G(T) = e^{-T^2/2} below 1e-12.  That bound is recorded on the
+    result.
     """
     t = samples.tgrid
-    T = float(t[-1])
+    T = max(min(-float(t[0]), float(t[-1])), 0.0)
     trunc = float(np.exp(-0.5 * T * T))
     if trunc > 1e-12:
         raise WindowTooShort("|G(T)| = %.3g > 1e-12" % trunc)
-    g = np.asarray(factor(t)) * samples.values
     dt = t[1] - t[0]
-    sigma = np.asarray(sigma_grid, dtype=float)
-    kernel = np.exp(-1j * np.outer(sigma, t))
     w = np.full(len(t), dt)
     w[0] = w[-1] = 0.5 * dt
-    vals = kernel @ (g * w)
+    g = np.exp(-0.5 * t * t) * samples.values * w
+    sigma = np.asarray(sigma_grid, dtype=float)
+    vals = _exp_sum(-1.0, t, g, sigma, np.zeros(1))[0]
     return WindowedSpectrum(samples.lam, sigma, vals, trunc)
 
 
@@ -214,7 +206,7 @@ def band_mass(spectrum, a, b):
     return float(np.sum(np.abs(spectrum.coeffs[mask]) ** 2))
 
 
-def plancherel_check(samples, factor, tau, sigma_grid, sgrid):
+def plancherel_check(samples, tau, sigma_grid, sgrid):
     """Both sides of the windowed Plancherel identity at height tau >= 0.
 
     Left: int |G . f^C (s + i tau)|^2 ds with the continuation rebuilt by
@@ -224,9 +216,8 @@ def plancherel_check(samples, factor, tau, sigma_grid, sgrid):
     """
     if tau < 0:
         raise ValueError("convention pins tau >= 0")
-    from .growth import continue_windowed
-    spec = windowed_transform(samples, factor, sigma_grid)
-    vals = continue_windowed(spec, sgrid + 1j * tau)
+    spec = windowed_transform(samples, sigma_grid)
+    vals = continue_windowed(spec, sgrid, tau)[0]
     lhs = float(np.trapezoid(np.abs(vals) ** 2, sgrid))
     dsig = spec.sigma[1] - spec.sigma[0]
     rhs = float(np.trapezoid(

@@ -20,6 +20,10 @@ from .geodesics import flat_sqrt_rho
 LOG_FLOOR = -50.0
 # cap on one dense (nterms x points) complex kernel block
 _DENSE_BLOCK_BYTES = 64 << 20
+# relative inversion error of continue_windowed, from a half-grid sum
+_INVERSION_TOL = 1e-6
+# c in the growth bound 2 |tau| + c log(lam) / lam of check_growth_bound
+_GROWTH_SLACK = 6.0
 
 
 @dataclass(frozen=True)
@@ -68,44 +72,47 @@ def continue_periodic_grid(spectrum, t, tau):
     are folded by n mod m, which is exact for every m because
     e^{2 pi i n j / m} depends only on n mod m, and point j reads bin
     j mod m, so the closed endpoint and grids past one period need
-    nothing extra.  Every other grid takes the dense kernel in column
-    blocks of at most 64 MB.  Both paths build the damping per block of
-    tau rows under the same cap; a grid with several tau blocks and
-    several column blocks rebuilds the column kernels for each tau block.
+    nothing extra.  Every other grid takes the dense branch of _exp_sum.
     """
     if not len(spectrum.coeffs):
         raise EmptySpectrum("spectrum has no entries")
     ns, vals = spectrum.freqs, spectrum.coeffs
     w = 2.0 * np.pi / spectrum.period
-    t = np.atleast_1d(np.asarray(t, dtype=float))
-    tau = np.atleast_1d(np.asarray(tau, dtype=float))
+    t, tau = (np.atleast_1d(np.asarray(a, dtype=float)) for a in (t, tau))
     tau_top = float(np.max(np.abs(tau)))
     if tau_top > spectrum.tau_max + 1e-15:
         raise StripExceeded("|tau|=%g beyond %g" % (tau_top, spectrum.tau_max))
     if w * max(-ns[0], ns[-1]) * tau_top > np.log(np.finfo(float).max):
         raise ContinuationOverflow("e^{w n tau} overflows at tau=%g" % tau_top)
     m = _period_steps(t, spectrum.period, len(ns))
+    return _exp_sum(w, ns, vals, t, tau, m, spectrum.n_min)
+
+
+def _exp_sum(w, freqs, coeffs, t, tau, m=None, n_min=0):
+    """sum_k coeffs[k] e^{i w freqs[k] (t + i tau)} on the (tau, t) grid: one
+    inverse FFT a tau row when t has m steps a period and freqs are n_min + k,
+    else dense column blocks; each block stays under 64 MB."""
     out = np.empty((len(tau), len(t)), dtype=complex)
     # a tau row costs its damping and, while that is built, its real
     # exponent (24 B a term); on the FFT path also its folded,
     # transformed and gathered rows
-    row_bytes = 24 * len(ns)
+    row_bytes = 24 * len(freqs)
     if m is not None:
-        row_bytes += 16 * (len(ns) + 2 * m + len(t))
-        phase = np.exp(1j * w * ns * t[0])
+        row_bytes += 16 * (len(freqs) + 2 * m + len(t))
+        phase = np.exp(1j * w * freqs * t[0])
     else:
-        step = max(1, _DENSE_BLOCK_BYTES // (16 * len(ns)))
+        step = max(1, _DENSE_BLOCK_BYTES // (16 * len(freqs)))
     rows = max(1, _DENSE_BLOCK_BYTES // row_bytes)
     for i in range(0, len(tau), rows):
-        damp = np.exp(-w * np.outer(tau[i:i + rows], ns)) * vals
+        damp = np.exp(-w * np.outer(tau[i:i + rows], freqs)) * coeffs
         if m is not None:
             damp *= phase
-            out[i:i + rows] = _fft_rows(damp, spectrum.n_min, m, len(t))
+            out[i:i + rows] = _fft_rows(damp, n_min, m, len(t))
         else:
             for j in range(0, len(t), step):
                 # exponentiated in place, and freed before the next one
                 # is built: one block of 64 MB at a time, not two
-                kernel = 1j * w * np.outer(ns, t[j:j + step])
+                kernel = 1j * w * np.outer(freqs, t[j:j + step])
                 np.matmul(damp, np.exp(kernel, out=kernel),
                           out=out[i:i + rows, j:j + step])
                 del kernel
@@ -142,29 +149,28 @@ def _fft_rows(coeffs, n_min, m, nt):
     return (np.fft.ifft(folded, axis=1) * m)[:, np.arange(nt) % m]
 
 
-def continue_windowed(spectrum, z, tol=1e-6):
-    """Continuation of G . f by Fourier inversion of nu^G.
+def continue_windowed(spectrum, t, tau):
+    """Continuation of G . f by Fourier inversion of nu^G on a tensor grid.
 
-    (1/2 pi) int e^{i z sigma} nu^G(sigma) d sigma on the stored sigma
-    grid; the grid must cover [-lam - 5, lam + 5] and a half-resolution
-    comparison must agree to tol relatively, else GridTooCoarse.
+    (1/2 pi) int e^{i (t + i tau) sigma} nu^G(sigma) d sigma on the stored
+    sigma grid, shape (len(tau), len(t)); the grid must cover
+    [-lam - 5, lam + 5] and a half-grid sum must agree, else GridTooCoarse.
     """
     sig, nu = spectrum.sigma, spectrum.values
     if sig[0] > -spectrum.lam - 5 or sig[-1] < spectrum.lam + 5:
         raise GridTooCoarse("sigma grid does not cover the energy band")
-    z = np.asarray(z, dtype=complex)
+    t, tau = (np.atleast_1d(np.asarray(a, dtype=float)) for a in (t, tau))
     dsig = sig[1] - sig[0]
     w = np.full(len(sig), dsig)
     w[0] = w[-1] = 0.5 * dsig
-    kernel = np.exp(1j * np.multiply.outer(z, sig))
-    fine = kernel @ (nu * w) / (2.0 * np.pi)
+    fine = _exp_sum(1.0, sig, nu * w, t, tau)
     w2 = np.full(len(sig[::2]), 2 * dsig)
     w2[0] = w2[-1] = dsig
-    coarse = kernel[..., ::2] @ (nu[::2] * w2) / (2.0 * np.pi)
+    coarse = _exp_sum(1.0, sig[::2], nu[::2] * w2, t, tau)
     scale = np.max(np.abs(fine)) + 1e-300
-    if np.max(np.abs(fine - coarse)) / 3.0 > tol * scale:
+    if np.max(np.abs(fine - coarse)) / 3.0 > _INVERSION_TOL * scale:
         raise GridTooCoarse("inversion quadrature error above tolerance")
-    return fine if fine.shape else complex(fine)
+    return fine / (2.0 * np.pi)
 
 
 def growth_profile(spectrum, strip):
@@ -178,9 +184,9 @@ def growth_profile(spectrum, strip):
     return GrowthProfile(strip, v, spectrum.lam)
 
 
-def check_growth_bound(profile, c=6.0):
+def check_growth_bound(profile):
     """Violations of v(t, tau) <= 2 |tau| + c log(lam)/lam on the grid."""
-    slack = c * math.log(max(profile.lam, 2.0)) / profile.lam
+    slack = _GROWTH_SLACK * math.log(max(profile.lam, 2.0)) / profile.lam
     bound = 2.0 * np.abs(profile.strip.tau_values)[:, None] + slack
     excess = profile.values - bound
     return int(np.sum(excess > 0)), float(np.max(excess))

@@ -43,6 +43,9 @@ _CLUSTER_TOL = 16.0 * math.sqrt(_EPS)
 _POLISH_STEPS = 8
 # backward residual above which a polished zero is not a zero
 _RESIDUAL_TOL = 1e-10
+# argument principle: fewest points an edge, doublings before dilating
+_AP_POINTS = 64
+_AP_DOUBLINGS = 12
 
 
 @dataclass
@@ -314,11 +317,11 @@ def _boundary_scale(spectrum, box, n):
                            np.full(n, s[1]), s[n + 2:]])
 
 
-def argument_principle_count(spectrum, box, n0=64, max_refine=12):
+def argument_principle_count(spectrum, box):
     """Winding number of the continuation around a strip rectangle.
 
     Adaptive phase tracking along the boundary: the sampling starts at
-    n0 points per edge, and at no fewer than 4 per period of the top
+    _AP_POINTS points per edge, and at no fewer than 4 per period of the top
     frequency along the t edges, and is doubled until every consecutive
     phase increment is below pi/2 at two successive samplings that give
     the same winding: near a zero just off the edge the phase can turn
@@ -331,9 +334,9 @@ def argument_principle_count(spectrum, box, n0=64, max_refine=12):
     top = max(abs(spectrum.n_min), abs(spectrum.n_max))
     for attempt in range(3):
         t0, t1, u0, u1 = box
-        n = max(n0, math.ceil(4 * top * (t1 - t0) / spectrum.period))
+        n = max(_AP_POINTS, math.ceil(4 * top * (t1 - t0) / spectrum.period))
         last = None      # the winding of the previous sampling
-        for _ in range(max_refine):
+        for _ in range(_AP_DOUBLINGS):
             vals = _boundary_values(spectrum, box, n)
             mags = np.abs(vals) / _boundary_scale(spectrum, box, n)
             if np.min(mags) < 1e-12 * np.max(mags):

@@ -15,7 +15,7 @@ import pytest
 
 import striplab as sl
 from striplab.experiments import run_experiment, sine_spectrum, write_results
-from striplab.fourier import GaussianFactor, RestrictionSamples
+from striplab.fourier import RestrictionSamples
 
 L = 2 * np.pi
 
@@ -126,12 +126,12 @@ def test_criterion_06_plancherel(state10):
     t = np.linspace(-T, T, 4096)
     single = RestrictionSamples(t, np.exp(1j * mu * t), lam=mu)
     sigma = np.linspace(-mu - 8, mu + 8, 801)
-    _, _, gap1 = sl.plancherel_check(single, GaussianFactor(), tau, sigma,
+    _, _, gap1 = sl.plancherel_check(single, tau, sigma,
                                      np.linspace(-T, T, 1024))
     mode = sl.sample_random_wave(20.0, 0.5, 3)
     samples = sl.sample_arc(mode, state10, T, 4096)
     sigma2 = np.linspace(-28, 28, 1401)
-    gaps = [sl.plancherel_check(samples, GaussianFactor(), tau, sigma2,
+    gaps = [sl.plancherel_check(samples, tau, sigma2,
                                 np.linspace(-T, T, n))[2]
             for n in (64, 128)]
     ok = gap1 <= 1e-6 and gaps[1] <= 1e-4 and gaps[1] < gaps[0]

@@ -1,11 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from striplab import (GaussianFactor, OrbitalSpectrum, band_mass,
+from striplab import (OrbitalSpectrum, band_mass,
                       exact_restriction_spectrum, make_torus_mode,
                       orbital_coefficients, plancherel_check,
                       sample_random_wave, sample_restriction, torus_geodesic,
@@ -134,16 +135,38 @@ def test_windowed_transform_gaussian_closed_form():
     mu = 10.0
     samples = _single_freq_samples(mu)
     sigma = np.linspace(mu - 6, mu + 6, 241)
-    spec = windowed_transform(samples, GaussianFactor(), sigma)
+    spec = windowed_transform(samples, sigma)
     ref = np.sqrt(2 * np.pi) * np.exp(-0.5 * (sigma - mu) ** 2)
     assert np.max(np.abs(spec.values - ref)) < 1e-10
     assert spec.truncation_error < 1e-12
 
 
+def test_windowed_transform_runs_in_kernel_blocks():
+    # 4096 samples x 4001 frequencies: the whole complex kernel and its
+    # exponential would hold 500 MB; a block holds 64 MB and, while built,
+    # its 32 MB real outer product
+    mu = 10.0
+    samples = _single_freq_samples(mu)
+    sigma = np.linspace(-40, 40, 4001)
+    tracemalloc.start()
+    try:
+        spec = windowed_transform(samples, sigma)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 128 << 20
+    ref = np.sqrt(2 * np.pi) * np.exp(-0.5 * (sigma - mu) ** 2)
+    assert np.max(np.abs(spec.values - ref)) < 1e-10
+
+
 def test_window_too_short():
     samples = _single_freq_samples(5.0, half_length=3.0)
     with pytest.raises(WindowTooShort):
-        windowed_transform(samples, GaussianFactor(), np.linspace(-9, 9, 50))
+        windowed_transform(samples, np.linspace(-9, 9, 50))
+    # G(0) = 1 at the near end of an arc that starts at the origin
+    arc = RestrictionSamples(np.linspace(0, 10, 4096), np.ones(4096), lam=5.0)
+    with pytest.raises(WindowTooShort):
+        windowed_transform(arc, np.linspace(-9, 9, 50))
 
 
 def test_plancherel_single_frequency_closed_form():
@@ -151,8 +174,7 @@ def test_plancherel_single_frequency_closed_form():
     samples = _single_freq_samples(mu)
     sigma = np.linspace(-mu - 8, mu + 8, 801)
     sgrid = np.linspace(-7.5, 7.5, 1024)
-    lhs, rhs, gap = plancherel_check(samples, GaussianFactor(), tau,
-                                     sigma, sgrid)
+    lhs, rhs, gap = plancherel_check(samples, tau, sigma, sgrid)
     closed = math.sqrt(math.pi) * math.exp(-2 * tau * mu + tau * tau)
     assert gap < 1e-10
     assert lhs == pytest.approx(closed, rel=1e-10)
@@ -162,6 +184,5 @@ def test_plancherel_single_frequency_closed_form():
 def test_plancherel_rejects_negative_tau():
     samples = _single_freq_samples(5.0)
     with pytest.raises(ValueError):
-        plancherel_check(samples, GaussianFactor(), -0.1,
-                         np.linspace(-13, 13, 401),
+        plancherel_check(samples, -0.1, np.linspace(-13, 13, 401),
                          np.linspace(-7.5, 7.5, 256))

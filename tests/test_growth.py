@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from striplab import (GaussianFactor, OrbitalSpectrum, RestrictionSamples,
+from striplab import (OrbitalSpectrum, RestrictionSamples,
                       Strip, check_growth_bound, continue_periodic_grid,
                       continue_windowed, exact_restriction_spectrum,
                       growth_profile, l2_growth_exponent,
@@ -191,11 +191,11 @@ def test_windowed_continuation_guards_the_sigma_grid():
     mu = 10.0
     t = np.linspace(-7.5, 7.5, 4096)
     samples = RestrictionSamples(t, np.exp(1j * mu * t), lam=mu)
-    z = np.linspace(-7.5, 7.5, 256) + 0.2j
+    s, tau = np.linspace(-7.5, 7.5, 256), np.array([-0.3, 0.0, 0.2, 0.5])
+    z = s + 1j * tau[:, None]
 
     def continued(sigma):
-        spec = windowed_transform(samples, GaussianFactor(), sigma)
-        return continue_windowed(spec, z)
+        return continue_windowed(windowed_transform(samples, sigma), s, tau)
 
     with pytest.raises(GridTooCoarse, match="does not cover the energy band"):
         continued(np.linspace(4, 16, 241))
