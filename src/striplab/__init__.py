@@ -11,9 +11,7 @@ __version__ = "0.1.0"
 from . import errors
 from .surfaces import (Eigenmode, GeodesicState, SurfaceModel,
                        annulus_lattice_points, evaluate_mode_grid,
-                       make_torus_mode,
-                       sample_random_wave, sphere_equator_spectrum,
-                       torus_geodesic)
+                       make_torus_mode, sample_random_wave, torus_geodesic)
 from .geodesics import (HorizontalSection, ReturnRecord,
                         asymmetry_diagnostic, first_return,
                         flat_complex_geodesic, flat_sqrt_rho,
@@ -22,14 +20,13 @@ from .fourier import (OrbitalSpectrum, RestrictionSamples,
                       WindowedSpectrum, band_mass,
                       exact_restriction_spectrum, orbital_coefficients,
                       plancherel_check, sample_arc, sample_restriction,
-                      windowed_transform)
+                      sphere_equator_spectrum, windowed_transform)
 from .growth import (GrowthProfile, Strip, check_growth_bound,
                      continue_periodic_grid, continue_windowed, growth_profile,
                      l2_growth_exponent, select_window, sup_growth_exponent,
                      tempered_weyl_sum)
-from .zeros import (BoxIndicator, ZeroSet,
-                    argument_principle_count, empirical_measure_pairing,
-                    laurent_roots, lelong_box_integral, lelong_density)
+from .zeros import (ZeroSet, argument_principle_count, laurent_roots,
+                    lelong_box_integral, lelong_density)
 from .wigner import (BandCutoff, GaussianSymbol, Interval, WignerDensity,
                      normalized_pullback, qer_matrix_element,
                      translation_invariance_stat, wigner_pairing)

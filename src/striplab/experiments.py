@@ -34,7 +34,7 @@ from .svgplot import Figure
 from .wigner import (BandCutoff, GaussianSymbol, Interval,
                      normalized_pullback, qer_matrix_element,
                      translation_invariance_stat)
-from .zeros import BoxIndicator, empirical_measure_pairing, laurent_roots
+from .zeros import laurent_roots
 
 
 def sine_spectrum(n, tau_max=1.0):
@@ -181,9 +181,15 @@ def validate_config(cfg):
         if strip["box"] is None:
             strip["box"] = [0.0, TORUS_SIDE, -strip["tau_max"],
                             strip["tau_max"]]
-        # laurent_roots finds no zero past tau_max
+        # laurent_roots finds no zero past tau_max, and reports t in one
+        # period [0, L) of the geodesic (Sine takes no geodesic key, so
+        # the default q = [1, 0] gives its period 2 pi)
         _need(strip["box"][3] <= strip["tau_max"], "strip.box",
               "the box leaves the strip |tau| <= strip.tau_max")
+        period = _geodesic_for(norm).period
+        _need(0 <= strip["box"][0] and strip["box"][1] <= period,
+              "strip.box", "the box leaves the period [0, %g] of the "
+              "geodesic" % period)
     if name == "wigner":
         _need(norm["tau_scale"] / norm["lambdas"][0] <= tau_bound,
               "tau_scale", "tau_scale / lambdas[0] must be at most the "
@@ -290,14 +296,13 @@ def _cells(cfg, rec, cell):
 
 def _run_equidistribution(cfg, rec):
     tau_max, box = cfg["strip"]["tau_max"], cfg["strip"]["box"]
-    f = BoxIndicator(box[0], box[1], box[3])
+    ref = (box[1] - box[0]) / math.pi
 
     def cell(lam, seed):
-        spec = _spectrum_for(cfg, lam, seed)
-        zs = laurent_roots(spec, tau_max)
-        pairing, ref = empirical_measure_pairing(zs, f)
-        return {"lambda": lam, "seed": seed,
-                "count_over_lambda": zs.count(tuple(box)) / lam,
+        zs = laurent_roots(_spectrum_for(cfg, lam, seed), tau_max)
+        # the pairing (1/lam) sum f(z) of the box indicator f
+        pairing = zs.count(tuple(box)) / lam
+        return {"lambda": lam, "seed": seed, "count_over_lambda": pairing,
                 "pairing": pairing, "reference": ref,
                 "near_axis_fraction":
                     zs.real_axis_fraction(cfg["near_axis_tol"])}, zs
@@ -309,7 +314,6 @@ def _run_equidistribution(cfg, rec):
 
     mean_pair, se = _mean_se([m["pairing"] for m in rec.per_seed])
     mean_frac, _ = _mean_se([m["near_axis_fraction"] for m in rec.per_seed])
-    ref = rec.per_seed[0]["reference"]
     tol = cfg["tolerances"]
     rec.aggregate = {"mean_pairing": mean_pair, "se_pairing": se,
                      "reference": ref, "mean_near_axis": mean_frac}
@@ -360,7 +364,7 @@ def _run_band_mass(cfg, rec):
 
     _cells(cfg, rec, cell)
     mean_ratio, se = _mean_se([m["band_ratio"] for m in rec.per_seed])
-    ref = 2.0 * (math.asin(band[1]) - math.asin(band[0])) / math.pi
+    ref = BandCutoff(*band).limit_integral() / math.pi
     tol = cfg["tolerances"]
     rec.aggregate = {"mean_band_ratio": mean_ratio, "se": se,
                      "reference": ref,

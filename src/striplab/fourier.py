@@ -6,18 +6,22 @@ computed exactly on uniform grids (the quadrature is the DFT and is exact
 for band-limited restrictions above Nyquist).  Non-periodic case: the
 transform needs an analytic decaying convergence factor, the Gaussian
 G(t) = e^{-t^2/2}: nu^G(sigma) = int G(t) phi(gamma(t)) e^{-i t sigma} dt.
+Sphere case: the equator restriction of a spherical harmonic Y_l^m is a
+single frequency m with a closed-form coefficient.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import InitVar, dataclass, replace
 from types import MappingProxyType
 
 import numpy as np
 
-from .errors import Undersampled, WindowTooShort, ZeroEigenvalue
+from .errors import (OrderOutOfRange, Undersampled, WindowTooShort,
+                     ZeroEigenvalue)
 from .growth import _exp_sum, continue_windowed
-from .surfaces import evaluate_mode_grid
+from .surfaces import TORUS_SIDE, evaluate_mode_grid
 
 
 @dataclass(eq=False)
@@ -148,6 +152,48 @@ def exact_restriction_spectrum(mode, state):
     np.add.at(coeffs, k - k.min(), c)
     return OrbitalSpectrum(mode.lam, state.period, n_min=int(k.min()),
                            coeffs=coeffs)
+
+
+def _equator_harmonic_value(l, m):
+    """Normalized spherical harmonic N_lm P_l^m(0) at the equator.
+
+    Stable log-space evaluation of the closed form: zero when l - m is odd,
+    otherwise (-1)^((l+m)/2) sqrt((2l+1)/(4 pi) (l-m)!/(l+m)!)
+    * (l+m-1)!! / (l-m)!!.
+    """
+    m = abs(m)
+    if (l - m) % 2 == 1:
+        return 0.0
+    # log of (l+m-1)!!/(l-m)!! plus half log of (l-m)!/(l+m)!
+    logval = 0.5 * (math.lgamma(l - m + 1) - math.lgamma(l + m + 1))
+    k = l + m - 1
+    while k >= 2:
+        logval += math.log(k)
+        k -= 2
+    k = l - m
+    while k >= 2:
+        logval -= math.log(k)
+        k -= 2
+    logval += 0.5 * math.log((2 * l + 1) / (4.0 * math.pi))
+    sign = -1.0 if ((l + m) // 2) % 2 else 1.0
+    return sign * math.exp(logval)
+
+
+def sphere_equator_spectrum(l, m):
+    """Orbital spectrum of Y_l^m restricted to the equator.
+
+    A single frequency m whose coefficient is the normalized associated
+    Legendre value at the equator (zero when l - m is odd); the frequency
+    scale lam is recorded as l.  Contrast cases: (l, l) is a Gaussian beam
+    saturating complexified growth, (l, 0) is zonal and flat.
+    """
+    l, m = int(l), int(m)
+    if abs(m) > l:
+        raise OrderOutOfRange("|m|=%d exceeds l=%d" % (abs(m), l))
+    val = _equator_harmonic_value(l, abs(m))
+    if m < 0:
+        val = val * (-1.0) ** m   # Condon-Shortley transfer for negative order
+    return OrbitalSpectrum(float(l), TORUS_SIDE, {m: complex(val)})
 
 
 def orbital_coefficients(samples, n_max):

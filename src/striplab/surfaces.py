@@ -4,8 +4,9 @@ The torus is R^2 / (2 pi Z)^2 with the flat metric, so every closed
 geodesic in a primitive lattice direction q has period 2 pi |q| and the
 restriction of a lattice mode e^{i<n,x>} to it is a pure exponential with
 integer orbital frequency <n, q>.  Random waves are Gaussian combinations
-of lattice modes in a thin spectral annulus; the sphere enters only
-through equator restrictions of spherical harmonics.
+of lattice modes in a thin spectral annulus.  The sphere enters only
+through equator restrictions of spherical harmonics, whose orbital
+spectra fourier.sphere_equator_spectrum builds.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import EmptyWindow, OrderOutOfRange
+from .errors import EmptyWindow
 
 TORUS_SIDE = 2.0 * np.pi
 TORUS_VOLUME = TORUS_SIDE ** 2
@@ -183,49 +184,6 @@ def sample_random_wave(lam, delta, seed):
     coeffs = np.concatenate([np.conj(upper[origin:][::-1]), upper])
     wave = Eigenmode(lam, ns, coeffs, delta=delta, seed=seed)
     return replace(wave, coeffs=coeffs / math.sqrt(wave.normalization))
-
-
-def _equator_harmonic_value(l, m):
-    """Normalized spherical harmonic N_lm P_l^m(0) at the equator.
-
-    Stable log-space evaluation of the closed form: zero when l - m is odd,
-    otherwise (-1)^((l+m)/2) sqrt((2l+1)/(4 pi) (l-m)!/(l+m)!)
-    * (l+m-1)!! / (l-m)!!.
-    """
-    m = abs(m)
-    if (l - m) % 2 == 1:
-        return 0.0
-    # log of (l+m-1)!!/(l-m)!! plus half log of (l-m)!/(l+m)!
-    logval = 0.5 * (math.lgamma(l - m + 1) - math.lgamma(l + m + 1))
-    k = l + m - 1
-    while k >= 2:
-        logval += math.log(k)
-        k -= 2
-    k = l - m
-    while k >= 2:
-        logval -= math.log(k)
-        k -= 2
-    logval += 0.5 * math.log((2 * l + 1) / (4.0 * math.pi))
-    sign = -1.0 if ((l + m) // 2) % 2 else 1.0
-    return sign * math.exp(logval)
-
-
-def sphere_equator_spectrum(l, m):
-    """Orbital spectrum of Y_l^m restricted to the equator.
-
-    A single frequency m whose coefficient is the normalized associated
-    Legendre value at the equator (zero when l - m is odd); the frequency
-    scale lam is recorded as l.  Contrast cases: (l, l) is a Gaussian beam
-    saturating complexified growth, (l, 0) is zonal and flat.
-    """
-    l, m = int(l), int(m)
-    if abs(m) > l:
-        raise OrderOutOfRange("|m|=%d exceeds l=%d" % (abs(m), l))
-    from .fourier import OrbitalSpectrum
-    val = _equator_harmonic_value(l, abs(m))
-    if m < 0:
-        val = val * (-1.0) ** m   # Condon-Shortley transfer for negative order
-    return OrbitalSpectrum(float(l), TORUS_SIDE, {m: complex(val)})
 
 
 def evaluate_mode_grid(mode, x1, x2):

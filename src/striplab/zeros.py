@@ -5,13 +5,13 @@ z = e^{2 pi i (t + i tau)/L} turns the continuation into a Laurent
 polynomial.  Its roots come from simultaneous Aberth-Ehrlich iteration
 (Bini 1996), O(N^2) per sweep in O(N) memory, started just off the unit
 circle so that the sweeps need not wait for rounding to move the roots
-of a real restriction off it; the roots in an annulus are Newton
-polished in z, all at once, by the same p/p' kernel, which also gives
-each zero's backward error.  The kernel splits the degree baby-step
-giant-step (Paterson and Stockmeyer 1973), O(sqrt N) powers a point
-and one small real matrix product.  The argument principle
-supplies an independent count, and the log-modulus Laplacian
-(Poincare-Lelong) recovers the counting measure from growth profiles.
+of a real restriction off it; the roots in an annulus are the zeros,
+and one more call of the same p/p' kernel gives their backward errors.
+The kernel splits the degree baby-step giant-step (Paterson and
+Stockmeyer 1973), O(sqrt N) powers a point and one small real matrix
+product.  The argument principle supplies an independent count, and the
+log-modulus Laplacian (Poincare-Lelong) recovers the counting measure
+from growth profiles.
 """
 
 from __future__ import annotations
@@ -39,9 +39,7 @@ _START_OFF = 1e-3
 # the two iterates of a double root stop about 4 sqrt(eps) |z| apart,
 # two simple roots 1e-6 |z| apart stay apart
 _CLUSTER_TOL = 16.0 * math.sqrt(_EPS)
-# Newton steps of the polish
-_POLISH_STEPS = 8
-# backward residual above which a polished zero is not a zero
+# backward residual above which a root is not a zero
 _RESIDUAL_TOL = 1e-10
 # argument principle: fewest points an edge, doublings before dilating
 _AP_POINTS = 64
@@ -53,9 +51,6 @@ class ZeroSet:
     """Zeros t + i tau of a continued restriction in one period cell."""
 
     zeros: list                # (complex t + i tau, multiplicity)
-    period: float
-    lam: float
-    tau_max: float
     conditioning_warning: bool = False
 
     def count(self, box=None):
@@ -239,35 +234,16 @@ def _multiplicities(z):
     return centroid / size, size
 
 
-def _polish(c, z):
-    """Newton steps z -= p/p' on all of z at once, at most _POLISH_STEPS;
-    a point stops once its step is below 1e-15 |z|.  Returns the points
-    and the backward error of p where each took its last step."""
-    z = z.copy()
-    backward = np.zeros(len(z))
-    moving = np.arange(len(z))
-    for _ in range(_POLISH_STEPS):
-        if not len(moving):
-            break
-        zi = z[moving]
-        ratio, backward[moving] = _ratios(c, zi)
-        step = np.where(np.isfinite(ratio), ratio, 0.0)   # p' = 0: stay
-        z[moving] = zi - step
-        moving = moving[np.abs(step) >= 1e-15 * np.abs(zi)]
-    return z, backward
-
-
 def laurent_roots(spectrum, tau_max):
     """All zeros of the continuation with |tau| <= tau_max in one period.
 
     The Laurent polynomial sum nu(n) z^n has degree n_max - n_min after
     clearing the pole at 0.  Its Aberth roots, merged into multiple roots
     where their iterates meet, that lie in the closed annulus
-    e^{-2 pi tau_max / L} <= |z| <= e^{2 pi tau_max / L} are Newton
-    polished in z and map back to t + i tau.  Count over the full annulus
-    of analyticity is exactly the polynomial degree.  conditioning_warning
-    is set when a polished zero's backward residual
-    |p(z)| / sum |c_k| |z|^k, which is
+    e^{-2 pi tau_max / L} <= |z| <= e^{2 pi tau_max / L} map back to
+    t + i tau.  Count over the full annulus of analyticity is exactly
+    the polynomial degree.  conditioning_warning is set when a zero's
+    backward residual |p(z)| / sum |c_k| |z|^k, which is
     |f(w)| / sum |nu(n)| e^{-2 pi n tau / L}, exceeds 1e-10.  Raises
     StripExceeded when tau_max is beyond the spectrum's tau_max, and
     RootsNotConverged when the iteration does not settle.
@@ -283,17 +259,16 @@ def laurent_roots(spectrum, tau_max):
     r_lo = math.exp(-2.0 * math.pi * tau_max / L) - 1e-9
     r_hi = math.exp(2.0 * math.pi * tau_max / L) + 1e-9
     kept = (r_lo <= np.abs(roots)) & (np.abs(roots) <= r_hi)
-    z, backward = _polish(spectrum.coeffs, roots[kept])
+    z = roots[kept]
     t = (L * np.angle(z) / (2.0 * math.pi)) % L
     tau = -L * np.log(np.abs(z)) / (2.0 * math.pi)
     zs = [(complex(a, b), int(m)) for a, b, m in zip(t, tau, mults[kept])]
-    # |p(z)| / sum |c_k| |z|^k is |f(w)| / sum |nu(n)| e^{-2 pi n tau / L}
+    _, backward = _ratios(spectrum.coeffs, z)
     warn = bool(np.max(backward, initial=0.0) > _RESIDUAL_TOL)
     # the two zeros of a conjugate pair share t only up to rounding
     tol = 1e-9 * L
     zs.sort(key=lambda p: (round(p[0].real / tol), p[0].imag))
-    return ZeroSet(zs, L, spectrum.lam, tau_max,
-                   conditioning_warning=warn)
+    return ZeroSet(zs, conditioning_warning=warn)
 
 
 def _boundary_values(spectrum, box, n):
@@ -353,34 +328,6 @@ def argument_principle_count(spectrum, box):
         pad = 1e-5 * (attempt + 1)
         box = (t0 - pad, t1 + pad, u0 - pad, u1 + pad)
     raise BoundaryZero("could not separate a zero from the box boundary")
-
-
-def empirical_measure_pairing(zeroset, f):
-    """(1/lam) sum over zeros of f(t + i tau) against its flat reference.
-
-    f is a TestFunction descriptor with a closed-form (1/pi) int f(t, 0) dt
-    reference; zero measures of restrictions condense on the real axis
-    with that density in the ergodic regime.
-    """
-    pairing = sum(m * f(z) for z, m in zeroset.zeros) / zeroset.lam
-    return pairing, f.reference()
-
-
-@dataclass(frozen=True)
-class BoxIndicator:
-    """Indicator of [t0, t1] x [-tau0, tau0]."""
-
-    t0: float
-    t1: float
-    tau0: float
-
-    def __call__(self, z):
-        if abs(z.imag) > self.tau0:
-            return 0.0
-        return 1.0 if self.t0 <= z.real <= self.t1 else 0.0
-
-    def reference(self):
-        return (self.t1 - self.t0) / math.pi
 
 
 def lelong_density(profile):

@@ -61,6 +61,11 @@ def test_validate_config_field_paths(tmp_path):
              (dict(box, strip={"box": [0.0, 6.0, -0.1, 0.2]}), "strip.box"),
              (dict(box, strip={"tau_max": 0.2, "box": [0.0, 6.0, -0.3, 0.3]}),
               "strip.box"),
+             # zeros are reported in one period [0, 2 pi |q|] of t
+             (dict(box, strip={"box": [-1.0, 1.0, -0.2, 0.2]}), "strip.box"),
+             (dict(box, strip={"box": [5.0, 8.0, -0.2, 0.2]}), "strip.box"),
+             (dict(box, surface={"kind": "Sine"},
+                   strip={"box": [0.0, 7.0, -0.2, 0.2]}), "strip.box"),
              # a window of no grid step, or one spanning the whole grid
              (dict(window, window_width=100.0), "window_width"),
              (dict(window, window_width=1e-4), "window_width"),
@@ -80,6 +85,10 @@ def test_validate_config_field_paths(tmp_path):
         assert cli_main(["validate", str(path)]) == 2, cfg
         assert cli_main(["run", str(path), "-o", str(tmp_path / "o")]) == 2
     assert not (tmp_path / "o").exists()
+    # the period of q=(1,1) is 2 pi sqrt 2 > 8
+    wide = [0.0, 8.0, -0.2, 0.2]
+    assert validate_config(dict(box, geodesic={"q": [1, 1]},
+                                strip={"box": wide}))["strip"]["box"] == wide
 
 
 # one tiny config of each experiment, plus the Sine surface

@@ -1,12 +1,15 @@
-"""Every name a module imports is used in it.
+"""Every name a module imports is used in it, and the README still runs.
 
 Parses each .py file of the package (except __init__.py, whose imports
 are its exports), the tests and the demos, and lists the imported names
-that no expression in the file reads.
+that no expression in the file reads.  Runs the README's library quick
+start, so that a renamed or removed API fails here, not in a reader's
+hands.
 """
 
 import ast
 import os
+import re
 
 import pytest
 
@@ -49,3 +52,10 @@ def test_no_unused_imports(path):
         unused = unused_imports(fh.read())
     assert not unused, "%s imports but never uses %s" % (
         path, ", ".join("%s (line %d)" % (n, l) for l, n in unused))
+
+
+def test_readme_quick_start_runs(capsys):
+    with open(os.path.join(ROOT, "README.md")) as fh:
+        block = re.search(r"```python\n(.*?)```", fh.read(), re.S).group(1)
+    exec(compile(block, "README.md", "exec"), {})
+    assert len(capsys.readouterr().out.splitlines()) == block.count("print(")

@@ -6,8 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from striplab import (BoxIndicator, OrbitalSpectrum, Strip,
-                      argument_principle_count, empirical_measure_pairing,
+from striplab import (OrbitalSpectrum, Strip, argument_principle_count,
                       exact_restriction_spectrum, growth_profile,
                       laurent_roots, lelong_box_integral, lelong_density,
                       sample_random_wave, torus_geodesic, zeros)
@@ -210,18 +209,17 @@ def test_conditioning_warning_reads_the_backward_residual(lam300,
                                                           monkeypatch):
     spec, zs = lam300[0]
     assert not zs.conditioning_warning
-    # points Newton cannot polish in one step are not zeros
+    # roots turned 1e-3 rad off their place are not zeros
     aberth = zeros._aberth
     monkeypatch.setattr(zeros, "_aberth",
                         lambda c: aberth(c) * np.exp(1e-3j))
-    monkeypatch.setattr(zeros, "_POLISH_STEPS", 1)
     small = exact_restriction_spectrum(sample_random_wave(30.0, 1.0, 0),
                                        torus_geodesic((1, 0)))
     assert laurent_roots(small, tau_max=0.3).conditioning_warning
 
 
 def test_laurent_roots_makes_no_grid_call(lam300, monkeypatch):
-    # roots, polish and warning all come from the polynomial kernel
+    # roots and warning both come from the polynomial kernel
     calls = []
 
     def counting(*args):
@@ -283,14 +281,6 @@ def test_count_methods_agree_on_random_spectra(seed):
     box = (0.1, 5.9, -0.2, 0.2)
     zs = laurent_roots(spec, tau_max=0.25)
     assert argument_principle_count(spec, box) == zs.count(box)
-
-
-def test_pairing_sine_box_exact():
-    n = 50
-    zs = laurent_roots(sine_spectrum(n), tau_max=0.5)
-    val, ref = empirical_measure_pairing(zs, BoxIndicator(0.0, L, 0.5))
-    assert ref == pytest.approx(2.0)
-    assert val == pytest.approx(2.0, abs=1e-12)
 
 
 def test_lelong_density_recovers_sine_count():
