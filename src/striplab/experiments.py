@@ -178,15 +178,14 @@ def validate_config(cfg):
               "must be at most the spectra's tau_max %g" % tau_bound)
     if name == "equidistribution":
         strip = norm["strip"]
-        if strip["box"] is None:
-            strip["box"] = [0.0, TORUS_SIDE, -strip["tau_max"],
-                            strip["tau_max"]]
         # laurent_roots finds no zero past tau_max, and reports t in one
         # period [0, L) of the geodesic (Sine takes no geodesic key, so
         # the default q = [1, 0] gives its period 2 pi)
+        period = _geodesic_for(norm).period
+        if strip["box"] is None:
+            strip["box"] = [0.0, period, -strip["tau_max"], strip["tau_max"]]
         _need(strip["box"][3] <= strip["tau_max"], "strip.box",
               "the box leaves the strip |tau| <= strip.tau_max")
-        period = _geodesic_for(norm).period
         _need(0 <= strip["box"][0] and strip["box"][1] <= period,
               "strip.box", "the box leaves the period [0, %g] of the "
               "geodesic" % period)

@@ -139,28 +139,39 @@ def make_torus_mode(n, coefficient=1.0 + 0.0j):
                      np.array([complex(coefficient)]))
 
 
+def _isqrt(x):
+    """Exact floor(sqrt(x)) of a nonnegative integer array below 2^53:
+    the float root is off by at most one either way."""
+    s = np.floor(np.sqrt(x.astype(float))).astype(x.dtype)
+    s -= s * s > x
+    s += (s + 1) * (s + 1) <= x
+    return s
+
+
 def annulus_lattice_points(lam, delta):
     """All integer points with lam - delta <= |n| <= lam + delta.
 
     A (K, 2) array in lexicographic order.  Each row n1 holds one or two
-    runs of n2, whose ends come from integer square roots of the bounds
-    on n2^2; the runs are expanded in one pass.
+    runs of n2, -hi..-lo and max(lo, 1)..hi, whose ends come from integer
+    square roots of the bounds on n2^2.  The bounds of all rows, and the
+    runs they span, are computed as whole arrays.
     """
     lo2 = math.ceil(max(0.0, lam - delta) ** 2)
     hi2 = math.floor((lam + delta) ** 2)
     r = min(math.floor(lam + delta), math.isqrt(hi2))
-    runs = []               # (n1, first n2, length) in lexicographic order
-    for n1 in range(-r, r + 1):
-        top, bottom = hi2 - n1 * n1, lo2 - n1 * n1
-        hi = min(math.isqrt(top), r)
-        lo = math.isqrt(bottom - 1) + 1 if bottom > 0 else 0
-        if lo <= hi:
-            runs.append((n1, -hi, hi - lo + 1))                 # -hi .. -lo
-            runs.append((n1, max(lo, 1), hi - max(lo, 1) + 1))  # lo .. hi
-    n1, first, length = np.array(runs, dtype=int).reshape(-1, 3).T
+    n1 = np.arange(-r, r + 1)
+    bottom = lo2 - n1 * n1
+    hi = np.minimum(_isqrt(hi2 - n1 * n1), r)
+    lo = np.where(bottom > 0, _isqrt(np.maximum(bottom - 1, 0)) + 1, 0)
+    row = lo <= hi
+    n1, lo, hi = n1[row], lo[row], hi[row]
+    pos = np.maximum(lo, 1)
+    # two runs a row in lexicographic order: (first n2, length)
+    first = np.column_stack([-hi, pos]).ravel()
+    length = np.column_stack([hi - lo + 1, hi - pos + 1]).ravel()
     offset = np.arange(length.sum()) - np.repeat(np.cumsum(length) - length,
                                                  length)
-    return np.column_stack([np.repeat(n1, length),
+    return np.column_stack([np.repeat(np.repeat(n1, 2), length),
                             np.repeat(first, length) + offset])
 
 

@@ -41,9 +41,11 @@ _START_OFF = 1e-3
 _CLUSTER_TOL = 16.0 * math.sqrt(_EPS)
 # backward residual above which a root is not a zero
 _RESIDUAL_TOL = 1e-10
-# argument principle: fewest points an edge, doublings before dilating
+# argument principle: fewest points an edge, doublings before dilating,
+# and the dilation in steps of the finest sampling
 _AP_POINTS = 64
 _AP_DOUBLINGS = 12
+_AP_PAD_STEPS = 4
 
 
 @dataclass
@@ -303,30 +305,52 @@ def argument_principle_count(spectrum, box):
     by 2 pi + delta between two samples and pass the test as delta, but
     not at both samplings.  The values are divided by the tau-only scale
     sum |nu(n)| e^{-2 pi n tau / L} before the near-zero test, so the
-    growth of |f| across the strip does not read as a zero.  Boxes with
-    a near-boundary zero are dilated slightly, three attempts.
+    growth of |f| across the strip does not read as a zero; a sample on
+    a zero raises BoundaryZero.  A zero at distance d from an edge turns
+    the phase by about pi - 4 d / h in the step h that passes it, so one
+    closer than the finest step h_top, that of _AP_DOUBLINGS - 1
+    doublings, stays unresolved however far the doubling goes.  An edge
+    whose largest step is within 4 h_top / h of pi at two successive
+    samplings holds such a zero and moves out at once by _AP_PAD_STEPS
+    finest steps; when the doublings run out, every edge moves out so.
+    The next attempt starts at the sampling whose step is the pad: there
+    a simple zero left behind turns the phase by less than pi/2, and one
+    of multiplicity up to three cannot alias to a small step.  The count
+    is that of the dilated box.  Three attempts.
     """
     top = max(abs(spectrum.n_min), abs(spectrum.n_max))
-    for attempt in range(3):
-        t0, t1, u0, u1 = box
-        n = max(_AP_POINTS, math.ceil(4 * top * (t1 - t0) / spectrum.period))
+    t0, t1, u0, u1 = box
+    n = max(_AP_POINTS, math.ceil(4 * top * (t1 - t0) / spectrum.period))
+    n_top = n << (_AP_DOUBLINGS - 1)
+    for _ in range(3):
         last = None      # the winding of the previous sampling
-        for _ in range(_AP_DOUBLINGS):
+        near_pi = np.zeros(4, dtype=bool)   # bottom, right, top, left edge
+        while True:
             vals = _boundary_values(spectrum, box, n)
             mags = np.abs(vals) / _boundary_scale(spectrum, box, n)
             if np.min(mags) < 1e-12 * np.max(mags):
-                break    # zero on boundary, dilate
+                raise BoundaryZero("a boundary sample lies on a zero")
             dphi = np.diff(np.angle(vals))
             dphi = (dphi + np.pi) % (2 * np.pi) - np.pi
+            edge_step = np.max(np.abs(dphi).reshape(4, n), axis=1)
             winding = None
-            if np.max(np.abs(dphi)) < 0.5 * np.pi:
+            if np.max(edge_step) < 0.5 * np.pi:
                 winding = int(round(float(np.sum(dphi)) / (2.0 * np.pi)))
                 if winding == last:
                     return winding
             last = winding
+            near = np.pi - edge_step < 4.0 * n / n_top
+            stuck = near_pi & near
+            if stuck.any() or n == n_top:
+                break
+            near_pi = near
             n *= 2
-        pad = 1e-5 * (attempt + 1)
-        box = (t0 - pad, t1 + pad, u0 - pad, u1 + pad)
+        if not stuck.any():
+            stuck[:] = True
+        t0, t1, u0, u1 = box
+        pad = _AP_PAD_STEPS / n_top * np.array([t1 - t0, u1 - u0] * 2) * stuck
+        box = (t0 - pad[3], t1 + pad[1], u0 - pad[0], u1 + pad[2])
+        n = n_top // _AP_PAD_STEPS
     raise BoundaryZero("could not separate a zero from the box boundary")
 
 

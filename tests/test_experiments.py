@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from striplab import (BandCutoff, exact_restriction_spectrum,
+from striplab import (BandCutoff, exact_restriction_spectrum, laurent_roots,
                       qer_matrix_element, sample_random_wave, torus_geodesic)
 from striplab.cli import main as cli_main
 from striplab.errors import ConfigInvalid
@@ -156,6 +156,20 @@ def test_schema_holds_the_runners_defaults():
                                  "geometry": 0.3, "nonperiodic-window": 0.2}
     assert norms["equidistribution"]["strip"]["box"] == [0.0, 2 * np.pi,
                                                          -0.2, 0.2]
+
+
+def test_default_box_spans_the_geodesic_period():
+    # box None is the whole strip; the period of q=(1,1) is 2 pi sqrt 2
+    cfg = {"experiment": "equidistribution", "lambdas": [20],
+           "geodesic": {"q": [1, 1]}}
+    state = torus_geodesic((1, 1))
+    assert validate_config(cfg)["strip"]["box"] == [0.0, state.period,
+                                                    -0.2, 0.2]
+    row = run_experiment(cfg).per_seed[0]
+    zs = laurent_roots(exact_restriction_spectrum(
+        sample_random_wave(20, 1.0, 0), state), 0.2)
+    assert zs.count((0.0, 2 * np.pi, -0.2, 0.2)) < zs.count()
+    assert round(row["count_over_lambda"] * 20) == zs.count()
 
 
 def test_qer_samples_along_the_configured_geodesic():

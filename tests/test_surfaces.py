@@ -4,12 +4,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from striplab import surfaces
 from striplab import (GeodesicState, SurfaceModel,
                       annulus_lattice_points, evaluate_mode_grid,
                       make_torus_mode, sample_random_wave,
                       sphere_equator_spectrum, torus_geodesic)
 from striplab.errors import EmptyWindow, OrderOutOfRange
-from striplab.surfaces import TORUS_SIDE, TORUS_VOLUME
+from striplab.surfaces import TORUS_SIDE, TORUS_VOLUME, _isqrt
 
 
 def test_torus_geodesic_period_and_direction():
@@ -49,6 +50,58 @@ def test_annulus_lattice_points_brute_force(lam, delta):
     pts = annulus_lattice_points(lam, delta)
     assert pts.shape == (len(expected), 2)
     assert [tuple(p) for p in pts.tolist()] == expected
+
+
+def _loop_lattice(lam, delta):
+    """The annulus built one row n1 at a time with math.isqrt: the
+    reference for the whole-array construction."""
+    lo2 = math.ceil(max(0.0, lam - delta) ** 2)
+    hi2 = math.floor((lam + delta) ** 2)
+    r = min(math.floor(lam + delta), math.isqrt(hi2))
+    runs = []               # (n1, first n2, length) in lexicographic order
+    for n1 in range(-r, r + 1):
+        top, bottom = hi2 - n1 * n1, lo2 - n1 * n1
+        hi = min(math.isqrt(top), r)
+        lo = math.isqrt(bottom - 1) + 1 if bottom > 0 else 0
+        if lo <= hi:
+            runs.append((n1, -hi, hi - lo + 1))                 # -hi .. -lo
+            runs.append((n1, max(lo, 1), hi - max(lo, 1) + 1))  # lo .. hi
+    n1, first, length = np.array(runs, dtype=int).reshape(-1, 3).T
+    offset = np.arange(length.sum()) - np.repeat(np.cumsum(length) - length,
+                                                 length)
+    return np.column_stack([np.repeat(n1, length),
+                            np.repeat(first, length) + offset])
+
+
+@pytest.mark.parametrize("delta", [0, 0.01, 0.5, 1, 2.5])
+@pytest.mark.parametrize("lam", [0.5, 1, 5, 5.5, 30.3, 100, 2000, 10 ** 4,
+                                 10 ** 5])
+def test_annulus_lattice_points_match_row_loop(lam, delta):
+    # lam 5 with delta 0 holds only exact radii, lam 5.5 with delta 0 or
+    # 0.01 is an empty window
+    ref = _loop_lattice(lam, delta)
+    pts = annulus_lattice_points(lam, delta)
+    assert pts.dtype == ref.dtype
+    assert np.array_equal(pts, ref)
+
+
+def test_isqrt_is_exact_beside_squares():
+    k = np.unique(np.r_[np.arange(4096),
+                        np.linspace(0, 9.4e7, 20001).astype(np.int64)])
+    for x in (k * k - 1, k * k, k * k + 1):
+        x = x[x >= 0]
+        ref = np.array([math.isqrt(int(v)) for v in x])
+        assert np.array_equal(_isqrt(x), ref)
+
+
+@pytest.mark.parametrize("lam", [100, 2000])
+def test_random_wave_on_row_loop_lattice_is_bit_equal(lam, monkeypatch):
+    fast = [sample_random_wave(lam, 1.0, seed) for seed in range(4)]
+    monkeypatch.setattr(surfaces, "annulus_lattice_points", _loop_lattice)
+    for seed, wave in enumerate(fast):
+        ref = sample_random_wave(lam, 1.0, seed)
+        assert np.array_equal(wave.ns, ref.ns)
+        assert wave.coeffs.tobytes() == ref.coeffs.tobytes()
 
 
 def test_annulus_empty_window_raises():

@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from striplab import (OrbitalSpectrum, Strip, argument_principle_count,
@@ -262,6 +262,13 @@ def test_edge_zero_is_never_miscounted():
         pass
 
 
+def test_zeros_on_an_edge_are_counted_after_one_dilation():
+    # the bottom edge runs through 30 simple zeros of sin(50 t): the
+    # phase turns by pi at each of them however fine the sampling
+    assert argument_principle_count(sine_spectrum(50),
+                                    (0.1, 2.0, 0.0, 0.3)) == 30
+
+
 def test_argument_principle_matches_companion():
     mode = sample_random_wave(20.0, 1.0, 12)
     spec = exact_restriction_spectrum(mode, torus_geodesic((1, 0)))
@@ -272,6 +279,7 @@ def test_argument_principle_matches_companion():
 
 @settings(max_examples=15, deadline=None)
 @given(seed=st.integers(0, 10 ** 6))
+@example(seed=2015)     # a zero 3.5e-6 inside the bottom edge
 def test_count_methods_agree_on_random_spectra(seed):
     rng = np.random.default_rng(seed)
     n_max = int(rng.integers(3, 20))
