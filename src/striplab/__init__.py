@@ -10,8 +10,8 @@ __version__ = "0.1.0"
 
 from . import errors
 from .surfaces import (Eigenmode, GeodesicState, SurfaceModel,
-                       annulus_lattice_points, evaluate_mode_grid,
-                       make_torus_mode, sample_random_wave, torus_geodesic)
+                       annulus_lattice_points, make_torus_mode,
+                       sample_random_wave, torus_geodesic)
 from .geodesics import (HorizontalSection, ReturnRecord,
                         asymmetry_diagnostic, first_return,
                         flat_complex_geodesic, flat_sqrt_rho,

@@ -63,10 +63,6 @@ class ContinuationOverflow(StripLabError):
 
 # -- zero finding
 
-class DegenerateSpectrum(StripLabError):
-    pass
-
-
 class BoundaryZero(StripLabError):
     pass
 

@@ -274,6 +274,13 @@ def _wigner_symbol(cfg):
     return interval, a
 
 
+def _csv(header, rows):
+    """CSV text of a header line and rows of Python numbers, each
+    written as its repr, so that a float reads back bit for bit."""
+    return header + "\n" + "".join(",".join(map(repr, row)) + "\n"
+                                    for row in rows)
+
+
 def _cells(cfg, rec, cell):
     """cell(lam, seed) -> (row, keep) over every (lambda, seed) pair.
 
@@ -306,10 +313,10 @@ def _run_equidistribution(cfg, rec):
                 "near_axis_fraction":
                     zs.real_axis_fraction(cfg["near_axis_tol"])}, zs
 
-    lines = ["t,tau,multiplicity"]
-    for zs in _cells(cfg, rec, cell):
-        lines.extend(zs.to_csv().splitlines()[1:])
-    rec.extra_csv["zeros.csv"] = "\n".join(lines) + "\n"
+    rec.extra_csv["zeros.csv"] = _csv(
+        "t,tau,multiplicity", ((z.real, z.imag, m)
+                               for zs in _cells(cfg, rec, cell)
+                               for z, m in zs.zeros))
 
     mean_pair, se = _mean_se([m["pairing"] for m in rec.per_seed])
     mean_frac, _ = _mean_se([m["near_axis_fraction"] for m in rec.per_seed])
@@ -342,12 +349,11 @@ def _run_growth(cfg, rec):
 
     # tau-sweep curves of each lambda's first seed for plotting
     taus = np.linspace(0.0, tau, 16)
-    lines = ["tau,lambda,exponent"]
-    for lam, spec in zip(cfg["lambdas"], kept[::len(cfg["seeds"])]):
-        for tv in taus:
-            lines.append("%r,%r,%r" % (float(tv), float(lam),
-                                       l2_growth_exponent(spec, tv)))
-    rec.extra_csv["growth_curves.csv"] = "\n".join(lines) + "\n"
+    rec.extra_csv["growth_curves.csv"] = _csv(
+        "tau,lambda,exponent",
+        ((float(tv), float(lam), l2_growth_exponent(spec, tv))
+         for lam, spec in zip(cfg["lambdas"], kept[::len(cfg["seeds"])])
+         for tv in taus))
 
 
 def _run_band_mass(cfg, rec):
@@ -394,7 +400,9 @@ def _run_wigner(cfg, rec):
                      {str(k): v for k, v in means.items()}}
     rec.passed = gaps[-1] <= cfg["tolerances"]["final_gap"] and decreasing
     # density of the last lambda's first seed for plotting
-    rec.extra_csv["wigner.csv"] = kept[-len(cfg["seeds"])].to_csv()
+    dens = kept[-len(cfg["seeds"])]
+    rec.extra_csv["wigner.csv"] = _csv(
+        "t,density", zip(map(float, dens.tgrid), map(float, dens.samples)))
 
 
 def _run_qer(cfg, rec):

@@ -21,7 +21,7 @@ import numpy as np
 from .errors import (OrderOutOfRange, Undersampled, WindowTooShort,
                      ZeroEigenvalue)
 from .growth import _exp_sum, continue_windowed
-from .surfaces import TORUS_SIDE, evaluate_mode_grid
+from .surfaces import TORUS_SIDE
 
 
 @dataclass(eq=False)
@@ -72,15 +72,6 @@ class OrbitalSpectrum:
     def total_mass(self):
         return float(np.sum(np.abs(self.coeffs) ** 2))
 
-    def is_real_restriction(self, tol=1e-12):
-        """nu(-n) = conj(nu(n)) for every n, relative to the largest |nu|."""
-        k = max(-self.n_min, self.n_max, 0)
-        sym = np.zeros(2 * k + 1, dtype=complex)
-        sym[k + self.n_min:k + self.n_max + 1] = self.coeffs
-        scale = float(np.max(np.abs(self.coeffs), initial=0.0))
-        return bool(np.all(np.abs(sym - np.conj(sym[::-1]))
-                           <= tol * (1 + scale)))
-
     def shifted(self, s):
         """Spectrum of t -> f(t + s): nu(n) e^{2 pi i n s / L}."""
         w = 2.0 * np.pi / self.period
@@ -127,12 +118,13 @@ def sample_arc(mode, state, half_length, count=4096):
 
 
 def _sample_line(mode, state, t, period=None):
-    """The mode at the points x0 + t xi of the geodesic."""
+    """The mode at the points x0 + t xi of the geodesic: the sum of
+    c_n e^{i<n,x0>} e^{i t <n,xi>}, whose real frequencies <n, xi> need
+    no period."""
     if not len(t) or len(t) & (len(t) - 1):
         raise ValueError("sample count must be a power of two")
-    x1 = state.x[0] + t * state.xi[0]
-    x2 = state.x[1] + t * state.xi[1]
-    vals = evaluate_mode_grid(mode, x1, x2)
+    c = mode.coeffs * np.exp(1j * (mode.ns @ state.x))
+    vals = _exp_sum(1.0, mode.ns @ state.xi, c, t, np.zeros(1))[0]
     return RestrictionSamples(t, vals, mode.lam, period)
 
 

@@ -16,6 +16,7 @@ import numpy as np
 from .errors import (ContinuationOverflow, EmptySpectrum, GridTooCoarse,
                      OffShell, StripExceeded, ZeroEigenvalue)
 from .geodesics import flat_sqrt_rho
+from .surfaces import annulus_lattice_points
 
 LOG_FLOOR = -50.0
 # cap on one dense (nterms x points) complex kernel block
@@ -261,12 +262,8 @@ def tempered_weyl_sum(zeta, lam, tau):
                        % (flat_sqrt_rho(zeta), tau))
     if lam < 10.0 / tau:
         raise ValueError("lam below the semiclassical threshold 10/tau")
-    r = int(math.floor(lam))
-    n1, n2 = np.meshgrid(np.arange(-r, r + 1), np.arange(-r, r + 1),
-                         indexing="ij")
-    norm = np.hypot(n1, n2)
-    mask = norm <= lam
+    n = annulus_lattice_points(lam / 2, lam / 2)       # the disk |n| <= lam
     im1, im2 = float(np.imag(zeta[0])), float(np.imag(zeta[1]))
-    expo = (-2.0 * tau * norm[mask]
-            - 2.0 * (n1[mask] * im1 + n2[mask] * im2))
+    expo = (-2.0 * tau * np.hypot(n[:, 0], n[:, 1])
+            - 2.0 * (n[:, 0] * im1 + n[:, 1] * im2))
     return float(np.sum(np.exp(expo))) / (2.0 * np.pi) ** 2

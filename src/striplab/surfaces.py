@@ -67,27 +67,11 @@ class Eigenmode:
     lam: float
     ns: np.ndarray
     coeffs: np.ndarray
-    delta: float = 0.0      # half-width of the spectral window around lam
-    seed: int | None = None
-
-    @property
-    def terms(self):
-        """Read-only ((n1, n2), c_n) pairs of ns and coeffs."""
-        return tuple(zip(map(tuple, self.ns.tolist()), self.coeffs.tolist()))
 
     @property
     def normalization(self):
         """Squared L^2(M) norm, = sum |c_n|^2 * vol(M)."""
         return float(np.sum(np.abs(self.coeffs) ** 2)) * TORUS_VOLUME
-
-    @property
-    def is_real(self):
-        """c_{-n} = conj(c_n) for every n.  Negation reverses the
-        lexicographic order, so -n sits at the mirrored index."""
-        c = self.coeffs
-        return (np.array_equal(self.ns[::-1], -self.ns)
-                and bool(np.all(np.abs(c[::-1] - np.conj(c))
-                                <= 1e-12 * (1 + np.abs(c)))))
 
 
 @dataclass(frozen=True)
@@ -114,13 +98,6 @@ class GeodesicState:
                 raise ValueError("xi must equal q/|q| for periodic states")
             if self.period is None or abs(self.period - TORUS_SIDE * qn) > 1e-9:
                 raise ValueError("period must be 2 pi |q|")
-
-    def advance(self, s):
-        """Flow the basepoint by arclength s along the flat geodesic."""
-        return GeodesicState(
-            ((self.x[0] + s * self.xi[0]) % TORUS_SIDE,
-             (self.x[1] + s * self.xi[1]) % TORUS_SIDE),
-            self.xi, period=self.period, q=self.q)
 
 
 def torus_geodesic(q, x0=(0.0, 0.0)):
@@ -193,15 +170,5 @@ def sample_random_wave(lam, delta, seed):
     pairs = z[origin:].reshape(-1, 2) / math.sqrt(2)    # (re, im) rows
     upper = np.concatenate([z[:origin], pairs[:, 0] + 1j * pairs[:, 1]])
     coeffs = np.concatenate([np.conj(upper[origin:][::-1]), upper])
-    wave = Eigenmode(lam, ns, coeffs, delta=delta, seed=seed)
+    wave = Eigenmode(lam, ns, coeffs)
     return replace(wave, coeffs=coeffs / math.sqrt(wave.normalization))
-
-
-def evaluate_mode_grid(mode, x1, x2):
-    """sum c_n e^{i<n,x>} over broadcast coordinate arrays or scalars."""
-    x1 = np.asarray(x1, dtype=float)
-    x2 = np.asarray(x2, dtype=float)
-    out = np.zeros(np.broadcast(x1, x2).shape, dtype=complex)
-    for (n1, n2), c in mode.terms:
-        out += c * np.exp(1j * (n1 * x1 + n2 * x2))
-    return out

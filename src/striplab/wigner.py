@@ -96,12 +96,6 @@ class WignerDensity:
     def integral(self):
         return float(np.trapezoid(self.samples, self.tgrid))
 
-    def to_csv(self):
-        lines = ["t,density"]
-        for t, d in zip(self.tgrid, self.samples):
-            lines.append("%r,%r" % (float(t), float(d)))
-        return "\n".join(lines) + "\n"
-
 
 def _grid_for(interval, lam, points_per_wavelength=16):
     n = max(256, int(points_per_wavelength * lam * interval.length

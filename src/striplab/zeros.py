@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import (BoundaryZero, DegenerateSpectrum, RootsNotConverged,
+from .errors import (BoundaryZero, EmptySpectrum, RootsNotConverged,
                      StripExceeded)
 from .growth import continue_periodic_grid
 
@@ -73,18 +73,12 @@ class ZeroSet:
         near = sum(m for z, m in self.zeros if abs(z.imag) <= tol)
         return near / n
 
-    def to_csv(self):
-        lines = ["t,tau,multiplicity"]
-        for z, m in self.zeros:
-            lines.append("%r,%r,%d" % (z.real, z.imag, m))
-        return "\n".join(lines) + "\n"
-
 
 def _tau_scale(spectrum, tau):
     """sum |nu(n)| e^{-2 pi n tau / L} at each tau: the size of the terms
     of the continuation on the line Im w = tau."""
-    terms = replace(spectrum, coeffs=np.abs(spectrum.coeffs))
-    return continue_periodic_grid(terms, 0.0, tau)[:, 0].real
+    moduli = replace(spectrum, coeffs=np.abs(spectrum.coeffs))
+    return continue_periodic_grid(moduli, 0.0, tau)[:, 0].real
 
 
 def _row_blocks(rows, cols):
@@ -251,7 +245,7 @@ def laurent_roots(spectrum, tau_max):
     RootsNotConverged when the iteration does not settle.
     """
     if not len(spectrum.coeffs):
-        raise DegenerateSpectrum("zero polynomial")
+        raise EmptySpectrum("spectrum has no entries")
     if tau_max > spectrum.tau_max:
         raise StripExceeded("tau_max=%g beyond %g"
                             % (tau_max, spectrum.tau_max))

@@ -290,6 +290,29 @@ def test_weyl_sum_requires_on_shell_point():
         tempered_weyl_sum(np.array([0.0 + tau * 1j, 0.0]), 20.0, tau)
 
 
+def _meshgrid_weyl_sum(zeta, lam, tau):
+    """The tempered Weyl sum over the masked (2r + 1)^2 square: the
+    reference for the disk taken from the annulus lattice."""
+    r = int(math.floor(lam))
+    n1, n2 = np.meshgrid(np.arange(-r, r + 1), np.arange(-r, r + 1),
+                         indexing="ij")
+    norm = np.hypot(n1, n2)
+    mask = norm <= lam
+    im1, im2 = float(np.imag(zeta[0])), float(np.imag(zeta[1]))
+    expo = (-2.0 * tau * norm[mask]
+            - 2.0 * (n1[mask] * im1 + n2[mask] * im2))
+    return float(np.sum(np.exp(expo))) / (2.0 * np.pi) ** 2
+
+
+@pytest.mark.parametrize("tau,lam", [(0.5, 33.3), (0.3, 60.0), (0.1, 150.7),
+                                     (0.3, 400.0), (0.5, 1000.5)])
+def test_weyl_sum_equals_the_meshgrid_sum(tau, lam):
+    # both sums run over the disk in lexicographic order: equal bits
+    zeta = np.array([1.0 + 0.6j * tau, 2.0 - 0.8j * tau])
+    assert tempered_weyl_sum(zeta, lam, tau) == \
+        _meshgrid_weyl_sum(zeta, lam, tau)
+
+
 def test_weyl_sum_monotone_in_lambda():
     tau = 0.3
     zeta = np.array([1.0 + 1j * tau, 2.0 + 0.0j])

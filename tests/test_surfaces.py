@@ -1,13 +1,12 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from striplab import surfaces
 from striplab import (GeodesicState, SurfaceModel,
-                      annulus_lattice_points, evaluate_mode_grid,
-                      make_torus_mode, sample_random_wave,
+                      annulus_lattice_points, make_torus_mode, sample_arc,
+                      sample_random_wave, sample_restriction,
                       sphere_equator_spectrum, torus_geodesic)
 from striplab.errors import EmptyWindow, OrderOutOfRange
 from striplab.surfaces import TORUS_SIDE, TORUS_VOLUME, _isqrt
@@ -28,13 +27,6 @@ def test_torus_geodesic_rejects_non_primitive():
 def test_geodesic_state_rejects_non_unit_direction():
     with pytest.raises(ValueError):
         GeodesicState((0.0, 0.0), (1.0, 1.0))
-
-
-def test_advance_wraps_basepoint():
-    st = torus_geodesic((1, 0))
-    moved = st.advance(TORUS_SIDE + 1.0)
-    assert moved.x[0] == pytest.approx(1.0)
-    assert moved.period == st.period
 
 
 @pytest.mark.parametrize("lam,delta", [(5, 0.5), (5, 0), (0.5, 1),
@@ -112,11 +104,14 @@ def test_annulus_empty_window_raises():
 def test_random_wave_is_deterministic_and_normalized():
     a = sample_random_wave(30.0, 1.0, 7)
     b = sample_random_wave(30.0, 1.0, 7)
-    assert a.terms == b.terms
+    assert np.array_equal(a.ns, b.ns) and np.array_equal(a.coeffs, b.coeffs)
     assert a.normalization == pytest.approx(1.0, abs=1e-12)
-    assert a.is_real
+    # real valued: c_{-n} = conj(c_n), and negation reverses the
+    # lexicographic order, so -n sits at the mirrored index
+    assert np.array_equal(a.ns[::-1], -a.ns)
+    assert np.array_equal(a.coeffs[::-1], np.conj(a.coeffs))
     c = sample_random_wave(30.0, 1.0, 8)
-    assert c.terms != a.terms
+    assert not np.array_equal(c.coeffs, a.coeffs)
 
 
 def _scalar_draw_wave(lam, delta, seed):
@@ -150,27 +145,57 @@ def test_random_wave_matches_scalar_draws(lam):
     assert np.max(np.abs(mode.coeffs - c_ref) / np.abs(c_ref)) <= 1e-14
 
 
-def test_is_real_false_cases():
-    assert not make_torus_mode((2, -1), 1.0).is_real   # no partner (-2, 1)
-    wave = sample_random_wave(12.0, 0.5, 3)
-    coeffs = wave.coeffs.copy()
-    coeffs[0] += 1e-6
-    assert not replace(wave, coeffs=coeffs).is_real
+def _loop_mode_values(mode, x1, x2):
+    """sum c_n e^{i<n,x>} one lattice term at a time: the reference for
+    the line samples."""
+    out = np.zeros(np.broadcast(x1, x2).shape, dtype=complex)
+    for (n1, n2), c in zip(mode.ns.tolist(), mode.coeffs.tolist()):
+        out += c * np.exp(1j * (n1 * x1 + n2 * x2))
+    return out
+
+
+# two closed geodesics, and the irrational direction (1, sqrt 2) / sqrt 3,
+# whose geodesic never closes
+_DIRECTIONS = {"q=(1,0)": (1, 0), "q=(2,1)": (2, 1),
+               "irrational": (1 / math.sqrt(3), math.sqrt(2 / 3))}
+
+
+@pytest.mark.parametrize("lam", [12.0, 60.0, 300.0])
+@pytest.mark.parametrize("direction", list(_DIRECTIONS))
+def test_line_samples_match_the_term_loop(lam, direction):
+    mode = sample_random_wave(lam, 1.0, 4)
+    xi = _DIRECTIONS[direction]
+    if direction == "irrational":
+        state = GeodesicState((0.4, 1.1), xi)
+        runs = [sample_arc(mode, state, 7.5, 1024)]
+    else:
+        state = torus_geodesic(xi, (0.4, 1.1))
+        runs = [sample_arc(mode, state, 7.5, 1024),
+                sample_restriction(mode, state, 1024)]
+    for samples in runs:
+        t = samples.tgrid
+        ref = _loop_mode_values(mode, state.x[0] + t * state.xi[0],
+                                state.x[1] + t * state.xi[1])
+        assert np.max(np.abs(samples.values - ref)) \
+            <= 1e-12 * np.max(np.abs(ref))
 
 
 def test_random_wave_real_valued_on_grid():
     mode = sample_random_wave(12.0, 0.5, 3)
-    xs = np.linspace(0, TORUS_SIDE, 17)
-    vals = evaluate_mode_grid(mode, xs, 0.3 * xs)
-    assert vals.shape == xs.shape
+    state = GeodesicState((0.0, 0.0), (1 / math.hypot(1, 0.3),
+                                       0.3 / math.hypot(1, 0.3)))
+    vals = sample_arc(mode, state, TORUS_SIDE, 16).values
+    assert vals.shape == (16,)
     assert np.max(np.abs(vals.imag)) < 1e-12
 
 
 def test_single_mode_evaluation():
     mode = make_torus_mode((2, -1), 0.5j)
-    val = evaluate_mode_grid(mode, 0.3, 0.7)
-    assert val.shape == ()
-    assert complex(val) == pytest.approx(0.5j * np.exp(1j * (2 * 0.3 - 0.7)))
+    state = GeodesicState((0.3, 0.7), (1.0, 0.0))
+    samples = sample_arc(mode, state, 0.0, count=1)
+    assert samples.values.shape == (1,)
+    assert samples.values[0] == pytest.approx(
+        0.5j * np.exp(1j * (2 * 0.3 - 0.7)))
     assert mode.lam == pytest.approx(math.sqrt(5))
 
 
