@@ -3,10 +3,13 @@
 Periodic restrictions are finite exponential sums; substituting
 z = e^{2 pi i (t + i tau)/L} turns the continuation into a Laurent
 polynomial.  Its roots come from simultaneous Aberth-Ehrlich iteration
-(Bini 1996), O(N^2) per sweep in O(N) memory, started just off the unit
-circle so that the sweeps need not wait for rounding to move the roots
-of a real restriction off it; the roots in an annulus are the zeros,
-and one more call of the same p/p' kernel gives their backward errors.
+(Bini 1996), O(N^2) per sweep in O(N) memory.  A restriction real on
+the axis seeds it with its real zeros, bracketed by the sign changes of
+one FFT row and polished by Newton steps, and starts the other iterates
+in the gaps between them; any other starts just off the unit circle, so
+that the sweeps need not wait for rounding to move the roots off it.
+The roots in an annulus are the zeros, and one more call of the same
+p/p' kernel gives their backward errors.
 The kernel splits the degree baby-step giant-step (Paterson and
 Stockmeyer 1973), O(sqrt N) powers a point and one small real matrix
 product.  The argument principle supplies an independent count, and the
@@ -26,7 +29,8 @@ from .errors import (BoundaryZero, EmptySpectrum, RootsNotConverged,
 from .growth import continue_periodic_grid
 
 _EPS = np.finfo(float).eps
-# Aberth sweeps before RootsNotConverged; 13-18 suffice at degree 600-6000
+# Aberth sweeps before RootsNotConverged; blind starts take 13-18 at
+# degree 600-6000, seeded ones 10-30 (up to 43 at degree 12000)
 _MAX_SWEEPS = 100
 # complex elements per row block of an N x N step, or of the (N + 1)-term
 # power rows whose rows a p/p' block takes, 512 KB: blocks that stay in
@@ -39,6 +43,12 @@ _START_OFF = 1e-3
 # the two iterates of a double root stop about 4 sqrt(eps) |z| apart,
 # two simple roots 1e-6 |z| apart stay apart
 _CLUSTER_TOL = 16.0 * math.sqrt(_EPS)
+# seeding grid points a period of the top frequency, and Newton steps a seed
+_SEED_POINTS = 8
+_SEED_NEWTON = 3
+# relative departure from nu(-n) = conj(nu(n)) of a real restriction:
+# exact_restriction_spectrum stays within 1e-15
+_REAL_TOL = 1e-12
 # backward residual above which a root is not a zero
 _RESIDUAL_TOL = 1e-10
 # argument principle: fewest points an edge, doublings before dilating,
@@ -160,31 +170,40 @@ def _ratios(c, z):
     return ratio, backward
 
 
-def _aberth(c):
+def _aberth(c, seeds=()):
     """All N roots of sum c_k z^k, c_0 and c_N nonzero, by Aberth-Ehrlich.
 
     Simultaneous (Jacobi) sweeps z_i -= r_i / (1 - r_i sum_{j != i}
-    1 / (z_i - z_j)), with r = p/p', from N points spread in angle around
-    the circle of radius |c_0 / c_N|^{1/N}.  They are turned by 0.7 rad
-    so that no start lies on the real axis, where the iterates of a real
-    polynomial would stay.  Their radii alternate between
-    radius e^{+-_START_OFF}, which breaks the symmetry z -> 1/conj(z) as
-    the turn breaks the real-axis one: a real mode's restriction has
-    nu(-n) = conj(nu(n)), so |c_0| = |c_N|, the radius is 1, and
-    iterates started on the unit circle stay on it until rounding
-    pushes them off, about ten sweeps at degree 600.  An iterate freezes
-    once its step is below 1e-15 |z| or its backward error is at
-    rounding level, which is where the iterates of a multiple root
-    stop.  Raises RootsNotConverged when any iterate still moves
-    after _MAX_SWEEPS sweeps.
+    1 / (z_i - z_j)), with r = p/p'.  Given R seeds, 0 < R <= N, the
+    angles of real zeros from _real_seeds, the starts are e^{i theta} at
+    the seeds and the N - R points of _gap_starts scaled to the circle
+    of radius |c_0 / c_N|^{1/N}: nearly all seeds freeze in the first
+    sweep and the gaps hold the others in proportion to their width, so
+    a solve at lambda=300-3000 passes 2.5-2.8 N points through p/p',
+    not 6.2-6.7 N.  Otherwise the N starts are spread in angle around
+    that circle, turned by 0.7 rad so that no start lies on the real axis,
+    where the iterates of a real polynomial would stay.  Their radii
+    alternate between radius e^{+-_START_OFF}, which breaks the symmetry
+    z -> 1/conj(z) as the turn breaks the real-axis one: a real mode's
+    restriction has nu(-n) = conj(nu(n)), so |c_0| = |c_N|, the radius
+    is 1, and iterates started on the unit circle stay on it until
+    rounding pushes them off, about ten sweeps at degree 600.  An
+    iterate freezes once its step is below 1e-15 |z| or its backward
+    error is at rounding level, which is where the iterates of a
+    multiple root stop.  Raises RootsNotConverged when any iterate
+    still moves after _MAX_SWEEPS sweeps.
     """
     n = len(c) - 1
     if n < 1:
         return np.empty(0, dtype=complex)
     radius = abs(c[0] / c[-1]) ** (1.0 / n)
-    k = np.arange(n)
-    z = radius * np.exp(_START_OFF * (-1.0) ** k
-                        + 1j * (2.0 * np.pi * k / n + 0.7))
+    seeds = np.asarray(seeds, dtype=float)
+    if 0 < len(seeds) <= n:
+        z = np.r_[np.exp(1j * seeds), radius * _gap_starts(seeds, n)]
+    else:
+        k = np.arange(n)
+        z = radius * np.exp(_START_OFF * (-1.0) ** k
+                            + 1j * (2.0 * np.pi * k / n + 0.7))
     moving = np.arange(n)
     for _ in range(_MAX_SWEEPS):
         zi = z[moving]
@@ -204,20 +223,90 @@ def _aberth(c):
                             "%d sweeps" % (len(moving), n, _MAX_SWEEPS))
 
 
+def _real_seeds(spectrum):
+    """The real zeros of a restriction real on the axis, as the
+    ascending distinct angles 2 pi t / L in [0, 2 pi); none unless
+    nu(-n) = conj(nu(n)) to rounding.
+
+    One a sign change of f on a period-aligned grid of 2^k points,
+    _SEED_POINTS or more a period of the top frequency (one FFT row of
+    continue_periodic_grid), started by linear interpolation in its
+    bracket and polished by _SEED_NEWTON Newton steps in t, each clipped
+    to the bracket: unclipped, two seeds could fall onto one simple zero
+    and pass for a double one.  np.signbit makes a zero on a grid point
+    one bracket, not two.  A seed on which p/p' is not finite is left
+    out: there p and p' vanish to the last bit, as at the grid points 0
+    and pi of sin(t)^2 cos(3t), and Aberth cannot start on it.
+    """
+    c, top = spectrum.coeffs, spectrum.n_max
+    if top < 1 or spectrum.n_min != -top or (
+            np.max(np.abs(c - np.conj(c[::-1])))
+            > _REAL_TOL * np.max(np.abs(c))):
+        return np.empty(0)
+    m = 1 << (_SEED_POINTS * top - 1).bit_length()
+    h = 2.0 * np.pi / m
+    f = continue_periodic_grid(
+        spectrum, np.arange(m) * (spectrum.period / m), 0.0)[0].real
+    sign = np.signbit(f)
+    j = np.flatnonzero(sign != np.roll(sign, -1))
+    a, b = np.abs(f[j]), np.abs(f[(j + 1) % m])
+    # the end of one bracket is, to the bit, the start of the next
+    lo, hi = h * j, h * (j + 1)
+    theta = lo + h * a / np.maximum(a + b, np.finfo(float).tiny)
+    z = np.exp(1j * theta)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        for _ in range(_SEED_NEWTON):
+            ratio, _ = _ratios(c, z)
+            # f / f' in theta, with f = z^{-top} p and r = p/p'
+            step = (ratio / (1j * (z - top * ratio))).real
+            theta = np.clip(theta - step, lo, hi)
+            z = np.exp(1j * theta)
+        ratio, _ = _ratios(c, z)
+    # the seeds ascend but for one at 2 pi, which is t = 0 and goes first
+    theta = theta[np.isfinite(ratio)] % (2.0 * np.pi)
+    theta = np.roll(theta, np.count_nonzero(np.diff(theta) < 0))
+    return theta[np.diff(theta, prepend=-1.0) > 0]
+
+
+def _gap_starts(theta, n):
+    """n - len(theta) points e^{+-pi/n + i phi} in the gaps between
+    seeds at the ascending angles theta in [0, 2 pi), which n zeros
+    spread evenly in angle share: a gap g holds g n / 2 pi of them less
+    its seed's, cut at 0, scaled to the total and rounded cumulatively,
+    at even steps across it.  The log-radius, half the mean spacing,
+    alternates in sign from point to point."""
+    gap = np.diff(theta, append=theta[0] + 2.0 * np.pi)
+    # the shares sum to at least n - len(theta), so only n seeds leave 0
+    cum = np.cumsum(np.maximum(gap * (n / (2.0 * np.pi)) - 1.0, 0.0))
+    cum = np.round(cum * ((n - len(theta)) / max(cum[-1], _EPS)))
+    k = np.diff(cum, prepend=0.0).astype(int)
+    at = np.repeat(np.arange(len(theta)), k)
+    j = np.arange(len(at)) - np.repeat(np.cumsum(k) - k, k)
+    fill = theta[at] + gap[at] * (j + 1) / (k[at] + 1)
+    return np.exp(np.pi / n * (-1.0) ** np.arange(len(at)) + 1j * fill)
+
+
 def _multiplicities(z):
     """Centroids and sizes of the groups of iterates within
     _CLUSTER_TOL |z| of one another: an m-fold root leaves m iterates
-    that close around it.  Distances in the z plane have no seam."""
+    that close around it.  Distances in the z plane have no seam.
+    O(N log N): only iterates whose real parts are that close are
+    compared."""
     if not len(z):
         return z, np.empty(0, dtype=int)
+    # candidates: the iterates whose real parts lie within twice the
+    # tolerance, a margin no rounding crosses, by two binary searches in
+    # the sorted real parts; the exact test then keeps the close pairs
+    order = np.argsort(z.real)
+    x, reach = z.real[order], 2.0 * _CLUSTER_TOL * np.abs(z)
+    lo = np.searchsorted(x, z.real - reach)
+    count = np.searchsorted(x, z.real + reach, side="right") - lo
+    near_i = np.repeat(np.arange(len(z)), count)
+    near_j = order[np.arange(len(near_i))
+                   + np.repeat(lo + count - np.cumsum(count), count)]
+    near = np.abs(z[near_i] - z[near_j]) <= _CLUSTER_TOL * np.abs(z[near_i])
+    near_i, near_j = near_i[near], near_j[near]
     label = np.arange(len(z))
-    near_i, near_j = [], []
-    for b in _row_blocks(len(z), len(z)):
-        i, j = np.nonzero(np.abs(z[b, None] - z)
-                          <= _CLUSTER_TOL * np.abs(z[b, None]))
-        near_i.append(i + b.start)
-        near_j.append(j)
-    near_i, near_j = np.concatenate(near_i), np.concatenate(near_j)
     while True:          # each group takes its smallest member's label
         merged = label.copy()
         np.minimum.at(merged, near_i, label[near_j])
@@ -250,7 +339,8 @@ def laurent_roots(spectrum, tau_max):
         raise StripExceeded("tau_max=%g beyond %g"
                             % (tau_max, spectrum.tau_max))
     L = spectrum.period
-    roots, mults = _multiplicities(_aberth(spectrum.coeffs))
+    roots, mults = _multiplicities(
+        _aberth(spectrum.coeffs, _real_seeds(spectrum)))
 
     r_lo = math.exp(-2.0 * math.pi * tau_max / L) - 1e-9
     r_hi = math.exp(2.0 * math.pi * tau_max / L) + 1e-9

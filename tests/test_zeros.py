@@ -205,6 +205,138 @@ def test_multiplicity_from_aberth_iterates():
     assert laurent_roots(cube, tau_max=0.3).count() == 18
 
 
+# sin(t)^2 cos(3t), two simple zeros 1e-6 apart, and sin(3t)^3
+_DOUBLE = OrbitalSpectrum(5.0, L, {-5: -1 / 8, -3: 1 / 4, -1: -1 / 8,
+                                   1: -1 / 8, 3: 1 / 4, 5: -1 / 8})
+_NEAR = OrbitalSpectrum(1.0, L, {-1: np.exp(1j * (2 + 1e-6)),
+                                 0: -np.exp(1j) - np.exp(1j * (1 + 1e-6)),
+                                 1: 1.0})
+_TRIPLE = OrbitalSpectrum(9.0, L, {-9: 1 / 8j, -3: -3 / 8j, 3: 3 / 8j,
+                                   9: -1 / 8j})
+
+
+def _pairwise_multiplicities(z):
+    """zeros._multiplicities comparing every pair of iterates, in row
+    blocks: the oracle of its sorted windows."""
+    if not len(z):
+        return z, np.empty(0, dtype=int)
+    label = np.arange(len(z))
+    near_i, near_j = [], []
+    for b in zeros._row_blocks(len(z), len(z)):
+        i, j = np.nonzero(np.abs(z[b, None] - z)
+                          <= zeros._CLUSTER_TOL * np.abs(z[b, None]))
+        near_i.append(i + b.start)
+        near_j.append(j)
+    near_i, near_j = np.concatenate(near_i), np.concatenate(near_j)
+    while True:
+        merged = label.copy()
+        np.minimum.at(merged, near_i, label[near_j])
+        if np.array_equal(merged, label):
+            break
+        label = merged
+    _, group, size = np.unique(label, return_inverse=True,
+                               return_counts=True)
+    centroid = (np.bincount(group, z.real) + 1j * np.bincount(group, z.imag))
+    return centroid / size, size
+
+
+def test_multiplicities_match_the_pairwise_oracle(lam300):
+    for spec in [spec for spec, _ in lam300] + [_DOUBLE, _NEAR, _TRIPLE]:
+        for seeds in (zeros._real_seeds(spec), ()):
+            z = zeros._aberth(spec.coeffs, seeds)
+            got, want = zeros._multiplicities(z), _pairwise_multiplicities(z)
+            assert np.array_equal(got[0], want[0])
+            assert np.array_equal(got[1], want[1])
+    # a group of three that only the chain of pairs joins
+    z = np.exp(1j) * (1 + np.array([0.0, 0.9, 1.8, 5.0]) * zeros._CLUSTER_TOL)
+    got, want = zeros._multiplicities(z), _pairwise_multiplicities(z)
+    assert got[1].tolist() == want[1].tolist() == [3, 1]
+
+
+def _seeded_and_blind(spec):
+    """Roots and multiplicities from the real seeds' starts and from the
+    blind ones, and the seeds."""
+    seeds = zeros._real_seeds(spec)
+    return [zeros._multiplicities(zeros._aberth(spec.coeffs, s))
+            for s in (seeds, ())], seeds
+
+
+def _assert_same_rows(got, want, tol):
+    _assert_same_roots(got[0], want[0], tol)
+    near = np.argmin(np.abs(want[0][:, None] - got[0][None, :]), axis=1)
+    assert np.array_equal(got[1][near], want[1])
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 10 ** 6))
+def test_real_seeds_leave_the_roots_in_place(seed):
+    rng = np.random.default_rng(seed)
+    top = int(rng.integers(1, 40))
+    half = rng.standard_normal(top + 1) + 1j * rng.standard_normal(top + 1)
+    half[0] = half[0].real
+    spec = OrbitalSpectrum(float(top), L, n_min=-top,
+                           coeffs=np.r_[np.conj(half[:0:-1]), half])
+    (seeded, blind), _ = _seeded_and_blind(spec)
+    _assert_same_rows(seeded, blind, 1e-12)
+
+
+def test_real_seeds_on_sines_and_multiple_zeros():
+    # every zero of sin(n t) is real, and 0 and pi are grid points
+    for n in (1, 6, 50):
+        (seeded, blind), seeds = _seeded_and_blind(sine_spectrum(n))
+        assert np.max(np.abs(seeds - np.pi / n * np.arange(2 * n))) < 1e-12
+        _assert_same_rows(seeded, blind, 1e-12)
+    # the two iterates of a double zero leave its centroid where rounding
+    # puts it, 4e-13 from the zero from the seeds and 3e-11 blind
+    (seeded, blind), _ = _seeded_and_blind(_DOUBLE)
+    _assert_same_rows(seeded, blind, 1e-10)
+    assert sorted(seeded[1].tolist()) == [1] * 6 + [2, 2]
+    (seeded, blind), _ = _seeded_and_blind(_NEAR)
+    _assert_same_rows(seeded, blind, 1e-12)
+    # those of a triple zero settle eps^(1/3) apart, wherever they start
+    (seeded, blind), _ = _seeded_and_blind(_TRIPLE)
+    exact = np.exp(1j * np.pi / 3 * np.arange(6))
+    assert sorted(seeded[1].tolist()) == sorted(blind[1].tolist())
+    for roots, mults in (seeded, blind):
+        assert mults.sum() == 18
+        assert np.max(np.min(np.abs(roots[:, None] - exact), axis=1)) < 1e-4
+
+
+def test_non_real_spectra_keep_the_blind_starts():
+    rng = np.random.default_rng(3)
+    coeffs = rng.standard_normal(41) + 1j * rng.standard_normal(41)
+    for n_min in (-20, -7):     # balanced and lopsided
+        spec = OrbitalSpectrum(20.0, L, n_min=n_min, coeffs=coeffs)
+        seeds = zeros._real_seeds(spec)
+        assert not len(seeds)
+        assert np.array_equal(zeros._aberth(spec.coeffs, seeds),
+                              zeros._aberth(spec.coeffs))
+
+
+def test_real_seeds_halve_the_aberth_sweeps(monkeypatch):
+    # blind starts took 6.2-6.4 N iterate-sweeps at lambda=300: points
+    # passed to the p/p' kernel, N a full sweep
+    points = []
+    ratios = zeros._ratios
+
+    def counting(c, z):
+        points.append(len(z))
+        return ratios(c, z)
+
+    for seed in range(5):
+        spec = exact_restriction_spectrum(
+            sample_random_wave(300.0, 1.0, seed), torus_geodesic((1, 0)))
+        seeds = zeros._real_seeds(spec)
+        # each seed stays in its own bracket: they ascend in [0, 2 pi)
+        assert 0 <= seeds[0] and seeds[-1] < 2 * np.pi
+        assert np.all(np.diff(seeds) > 0)
+        points.clear()
+        monkeypatch.setattr(zeros, "_ratios", counting)
+        zeros._aberth(spec.coeffs, seeds)
+        monkeypatch.setattr(zeros, "_ratios", ratios)
+        assert sum(points) <= 3.5 * (len(spec.coeffs) - 1)
+
+
 def test_conditioning_warning_reads_the_backward_residual(lam300,
                                                           monkeypatch):
     spec, zs = lam300[0]
@@ -212,14 +344,15 @@ def test_conditioning_warning_reads_the_backward_residual(lam300,
     # roots turned 1e-3 rad off their place are not zeros
     aberth = zeros._aberth
     monkeypatch.setattr(zeros, "_aberth",
-                        lambda c: aberth(c) * np.exp(1e-3j))
+                        lambda c, seeds: aberth(c, seeds) * np.exp(1e-3j))
     small = exact_restriction_spectrum(sample_random_wave(30.0, 1.0, 0),
                                        torus_geodesic((1, 0)))
     assert laurent_roots(small, tau_max=0.3).conditioning_warning
 
 
-def test_laurent_roots_makes_no_grid_call(lam300, monkeypatch):
-    # roots and warning both come from the polynomial kernel
+def test_laurent_roots_makes_one_grid_call(lam300, monkeypatch):
+    # the real seeds take one tau = 0 row on a period-aligned grid of
+    # 2^k points; roots and warning come from the polynomial kernel
     calls = []
 
     def counting(*args):
@@ -229,7 +362,11 @@ def test_laurent_roots_makes_no_grid_call(lam300, monkeypatch):
     monkeypatch.setattr(zeros, "continue_periodic_grid", counting)
     spec, zs = lam300[0]
     assert laurent_roots(spec, tau_max=0.2).zeros == zs.zeros
-    assert not calls
+    (called, t, tau), = calls
+    m = len(t)
+    assert called is spec and tau == 0.0
+    assert m & (m - 1) == 0 and m >= 8 * spec.n_max
+    assert np.array_equal(t, np.arange(m) * (spec.period / m))
 
 
 def test_argument_principle_counts_the_full_strip(lam300):
