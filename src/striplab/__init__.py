@@ -18,9 +18,9 @@ from .geodesics import (HorizontalSection, ReturnRecord,
                         integrate_complex_geodesic, reflect_state)
 from .fourier import (OrbitalSpectrum, RestrictionSamples,
                       WindowedSpectrum, band_mass,
-                      exact_restriction_spectrum, orbital_coefficients,
-                      plancherel_check, sample_arc, sample_restriction,
-                      sphere_equator_spectrum, windowed_transform)
+                      exact_restriction_spectrum, plancherel_check,
+                      sample_arc, sphere_equator_spectrum,
+                      windowed_transform)
 from .growth import (GrowthProfile, Strip, check_growth_bound,
                      continue_periodic_grid, continue_windowed, growth_profile,
                      l2_growth_exponent, select_window, sup_growth_exponent,

@@ -35,10 +35,6 @@ class StartOffSection(StripLabError):
 
 # -- orbital Fourier
 
-class Undersampled(StripLabError):
-    pass
-
-
 class WindowTooShort(StripLabError):
     pass
 

@@ -1,13 +1,14 @@
 """Orbital Fourier analysis of restricted eigenfunctions.
 
-Periodic case: a restriction to a closed geodesic of period L has Fourier
-coefficients nu(n) = (1/L) int_0^L phi(gamma(t)) e^{-2 pi i n t / L} dt,
-computed exactly on uniform grids (the quadrature is the DFT and is exact
-for band-limited restrictions above Nyquist).  Non-periodic case: the
-transform needs an analytic decaying convergence factor, the Gaussian
-G(t) = e^{-t^2/2}: nu^G(sigma) = int G(t) phi(gamma(t)) e^{-i t sigma} dt.
-Sphere case: the equator restriction of a spherical harmonic Y_l^m is a
-single frequency m with a closed-form coefficient.
+Periodic case: a lattice mode restricted to a closed geodesic of period L
+has the orbital spectrum nu(n) = (1/L) int_0^L phi(gamma(t))
+e^{-2 pi i n t / L} dt, computed exactly by summing the lattice
+coefficients over the level sets of <n, q>.  Non-periodic case: line
+samples on an arc feed a transform with an analytic decaying convergence
+factor, the Gaussian G(t) = e^{-t^2/2}:
+nu^G(sigma) = int G(t) phi(gamma(t)) e^{-i t sigma} dt.  Sphere case: the
+equator restriction of a spherical harmonic Y_l^m is a single frequency m
+with a closed-form coefficient.
 """
 
 from __future__ import annotations
@@ -18,8 +19,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .errors import (OrderOutOfRange, Undersampled, WindowTooShort,
-                     ZeroEigenvalue)
+from .errors import OrderOutOfRange, WindowTooShort, ZeroEigenvalue
 from .growth import _exp_sum, continue_windowed
 from .surfaces import TORUS_SIDE
 
@@ -41,7 +41,6 @@ class OrbitalSpectrum:
     tau_max: float = 1.0
     n_min: int = 0
     coeffs: np.ndarray = ()
-    parseval_defect: float | None = None
 
     def __post_init__(self, nu):
         if nu is not None:
@@ -95,37 +94,26 @@ class WindowedSpectrum:
 
 @dataclass(frozen=True)
 class RestrictionSamples:
-    """Uniform samples of phi(gamma(t)); power-of-two count for the FFT."""
+    """Samples of phi(gamma(t)) on a uniform grid of any length."""
 
     tgrid: np.ndarray
     values: np.ndarray
     lam: float
-    period: float | None = None
-
-
-def sample_restriction(mode, state, count=1024):
-    """Sample a torus mode along one period of a closed geodesic."""
-    if state.period is None:
-        raise ValueError("state must be periodic; use sample_arc instead")
-    t = np.arange(count) * (state.period / count)
-    return _sample_line(mode, state, t, state.period)
 
 
 def sample_arc(mode, state, half_length, count=4096):
-    """Sample a torus mode along the arc t in [-T, T] of a geodesic."""
+    """Sample a torus mode along the arc t in [-T, T] of a geodesic.
+
+    The mode at the points x0 + t xi is the sum of c_n e^{i<n,x0>}
+    e^{i t <n,xi>}, whose real frequencies <n, xi> need no period, so
+    closed and non-closed directions take the same path.
+    """
     t = np.linspace(-half_length, half_length, count)
-    return _sample_line(mode, state, t)
-
-
-def _sample_line(mode, state, t, period=None):
-    """The mode at the points x0 + t xi of the geodesic: the sum of
-    c_n e^{i<n,x0>} e^{i t <n,xi>}, whose real frequencies <n, xi> need
-    no period."""
-    if not len(t) or len(t) & (len(t) - 1):
-        raise ValueError("sample count must be a power of two")
+    if not len(t):
+        raise ValueError("sample count must be positive")
     c = mode.coeffs * np.exp(1j * (mode.ns @ state.x))
     vals = _exp_sum(1.0, mode.ns @ state.xi, c, t, np.zeros(1))[0]
-    return RestrictionSamples(t, vals, mode.lam, period)
+    return RestrictionSamples(t, vals, mode.lam)
 
 
 def exact_restriction_spectrum(mode, state):
@@ -156,17 +144,12 @@ def _equator_harmonic_value(l, m):
     m = abs(m)
     if (l - m) % 2 == 1:
         return 0.0
-    # log of (l+m-1)!!/(l-m)!! plus half log of (l-m)!/(l+m)!
-    logval = 0.5 * (math.lgamma(l - m + 1) - math.lgamma(l + m + 1))
-    k = l + m - 1
-    while k >= 2:
-        logval += math.log(k)
-        k -= 2
-    k = l - m
-    while k >= 2:
-        logval -= math.log(k)
-        k -= 2
-    logval += 0.5 * math.log((2 * l + 1) / (4.0 * math.pi))
+    # half the log of N_lm^2 = (2l+1)/(4 pi) (l-m)!/(l+m)!, plus the log of
+    # (l+m-1)!!/(l-m)!! = 2^m Gamma((l+m+1)/2) / (sqrt(pi) Gamma((l-m)/2 + 1))
+    logval = (0.5 * (math.log((2 * l + 1) / (4.0 * math.pi))
+                     + math.lgamma(l - m + 1) - math.lgamma(l + m + 1))
+              + m * math.log(2.0) + math.lgamma((l + m + 1) / 2)
+              - 0.5 * math.log(math.pi) - math.lgamma((l - m) // 2 + 1))
     sign = -1.0 if ((l + m) // 2) % 2 else 1.0
     return sign * math.exp(logval)
 
@@ -186,26 +169,6 @@ def sphere_equator_spectrum(l, m):
     if m < 0:
         val = val * (-1.0) ** m   # Condon-Shortley transfer for negative order
     return OrbitalSpectrum(float(l), TORUS_SIDE, {m: complex(val)})
-
-
-def orbital_coefficients(samples, n_max):
-    """Orbital Fourier coefficients for |n| <= n_max from one period.
-
-    The uniform-grid quadrature of (1/L) int f e^{-2 pi i n t/L} is the
-    scaled DFT; it is exact when the restriction is band limited below the
-    Nyquist frequency.  Requires at least a 4x anti-aliasing margin.
-    """
-    if samples.period is None:
-        raise ValueError("periodic samples required")
-    m = len(samples.values)
-    if m < 4 * n_max:
-        raise Undersampled("%d samples for n_max=%d" % (m, n_max))
-    coeff = np.fft.fft(samples.values) / m
-    coeffs = coeff[np.arange(-n_max, n_max + 1) % m]
-    mean_sq = float(np.mean(np.abs(samples.values) ** 2))
-    defect = abs(float(np.sum(np.abs(coeffs) ** 2)) - mean_sq)
-    return OrbitalSpectrum(samples.lam, samples.period, n_min=-n_max,
-                           coeffs=coeffs, parseval_defect=defect)
 
 
 def windowed_transform(samples, sigma_grid):

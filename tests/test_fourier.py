@@ -8,10 +8,9 @@ from hypothesis import strategies as st
 
 from striplab import (OrbitalSpectrum, band_mass,
                       exact_restriction_spectrum, make_torus_mode,
-                      orbital_coefficients, plancherel_check,
-                      sample_random_wave, sample_restriction, torus_geodesic,
+                      plancherel_check, sample_random_wave, torus_geodesic,
                       windowed_transform)
-from striplab.errors import Undersampled, WindowTooShort, ZeroEigenvalue
+from striplab.errors import WindowTooShort, ZeroEigenvalue
 from striplab.fourier import RestrictionSamples
 from striplab.growth import continue_periodic_grid
 
@@ -35,31 +34,44 @@ def test_exact_spectrum_aggregates_level_sets():
     assert set(spec.entries) <= ks
 
 
+def _loop_mode_values(mode, x1, x2):
+    """sum c_n e^{i<n,x>} one lattice term at a time: the reference for
+    line samples and for the sampled spectrum below."""
+    out = np.zeros(np.broadcast(x1, x2).shape, dtype=complex)
+    for (n1, n2), c in zip(mode.ns.tolist(), mode.coeffs.tolist()):
+        out += c * np.exp(1j * (n1 * x1 + n2 * x2))
+    return out
+
+
+def _periodic_samples(mode, state, m):
+    """The term loop on the periodic grid t_j = j L / m, j = 0 .. m-1."""
+    t = np.arange(m) * (state.period / m)
+    return _loop_mode_values(mode, state.x[0] + t * state.xi[0],
+                             state.x[1] + t * state.xi[1])
+
+
+def _fft_spectrum(values, n_max):
+    """nu(n) for |n| <= n_max as the scaled DFT of one period of samples:
+    the uniform-grid quadrature of (1/L) int f e^{-2 pi i n t / L}, exact
+    for a restriction band limited below the Nyquist frequency."""
+    coeff = np.fft.fft(values) / len(values)
+    return coeff[np.arange(-n_max, n_max + 1) % len(values)]
+
+
 def test_fft_coefficients_match_exact_spectrum():
     mode = sample_random_wave(25.0, 1.0, 5)
     # off the axis, |<n, q>| <= |q| (lambda + delta) = 58.1 along (2, 1)
     for q, n_max in (((1, 0), 30), ((2, 1), 60)):
         state = torus_geodesic(q, (0.2, 1.3))
         exact = exact_restriction_spectrum(mode, state)
-        samples = sample_restriction(mode, state, count=1024)
-        fft = orbital_coefficients(samples, n_max=n_max)
+        values = _periodic_samples(mode, state, 1024)
+        fft = _fft_spectrum(values, n_max)
         for n in range(-n_max, n_max + 1):
-            assert fft.entries[n] == pytest.approx(
+            assert fft[n + n_max] == pytest.approx(
                 exact.entries.get(n, 0.0), abs=1e-12), (q, n)
-        assert fft.parseval_defect < 1e-12
-
-
-def test_undersampled_raises():
-    mode = sample_random_wave(25.0, 1.0, 5)
-    samples = sample_restriction(mode, torus_geodesic((1, 0)), count=64)
-    with pytest.raises(Undersampled):
-        orbital_coefficients(samples, n_max=30)
-
-
-def test_sample_restriction_requires_power_of_two():
-    mode = sample_random_wave(10.0, 0.5, 0)
-    with pytest.raises(ValueError):
-        sample_restriction(mode, torus_geodesic((1, 0)), count=1000)
+        parseval_defect = abs(float(np.sum(np.abs(fft) ** 2))
+                              - float(np.mean(np.abs(values) ** 2)))
+        assert parseval_defect < 1e-12
 
 
 @settings(max_examples=25, deadline=None)

@@ -1,10 +1,12 @@
-"""Every name a module imports is used in it, and the README still runs.
+"""Every name a module imports is used in it, every exception is raised,
+and the README still runs.
 
 Parses each .py file of the package (except __init__.py, whose imports
 are its exports), the tests and the demos, and lists the imported names
-that no expression in the file reads.  Runs the README's library quick
-start, so that a renamed or removed API fails here, not in a reader's
-hands.
+that no expression in the file reads.  Checks that each exception class
+of errors.py is raised somewhere in the package.  Runs the README's
+library quick start, so that a renamed or removed API fails here, not
+in a reader's hands.
 """
 
 import ast
@@ -52,6 +54,24 @@ def test_no_unused_imports(path):
         unused = unused_imports(fh.read())
     assert not unused, "%s imports but never uses %s" % (
         path, ", ".join("%s (line %d)" % (n, l) for l, n in unused))
+
+
+def test_every_exception_is_raised():
+    pkg = os.path.join(ROOT, "src/striplab")
+    with open(os.path.join(pkg, "errors.py")) as fh:
+        classes = {node.name for node in ast.parse(fh.read()).body
+                   if isinstance(node, ast.ClassDef)} - {"StripLabError"}
+    raised = set()
+    for name in os.listdir(pkg):
+        if name.endswith(".py"):
+            with open(os.path.join(pkg, name)) as fh:
+                raises = [node for node in ast.walk(ast.parse(fh.read()))
+                          if isinstance(node, ast.Raise)]
+            raised.update(n.id if isinstance(n, ast.Name) else n.attr
+                          for r in raises for n in ast.walk(r)
+                          if isinstance(n, (ast.Name, ast.Attribute)))
+    assert not classes - raised, "never raised: %s" % ", ".join(
+        sorted(classes - raised))
 
 
 def test_readme_quick_start_runs(capsys):

@@ -6,10 +6,11 @@ import pytest
 from striplab import (BandCutoff, GaussianSymbol, Interval,
                       OrbitalSpectrum, normalized_pullback,
                       qer_matrix_element, sample_random_wave,
-                      sample_restriction, torus_geodesic,
-                      translation_invariance_stat, wigner_pairing)
+                      torus_geodesic, translation_invariance_stat,
+                      wigner_pairing)
 from striplab.errors import SupportLeak, VanishingRestriction
 from striplab.fourier import exact_restriction_spectrum
+from test_fourier import _periodic_samples
 
 L = 2 * np.pi
 
@@ -75,9 +76,9 @@ def test_qer_full_band_matches_parseval():
     mode = sample_random_wave(50.0, 1.0, 5)
     state = torus_geodesic((1, 0))
     spec = exact_restriction_spectrum(mode, state)
-    samples = sample_restriction(mode, state, count=1024)
+    values = _periodic_samples(mode, state, 1024)
     val, ref = qer_matrix_element(spec, BandCutoff(0.0, 2.0))
-    assert val == pytest.approx(float(np.mean(np.abs(samples.values) ** 2)),
+    assert val == pytest.approx(float(np.mean(np.abs(values) ** 2)),
                                 rel=1e-10)
     assert ref == pytest.approx(4.0 * L * math.pi
                                 / (2 * np.pi * (2 * np.pi) ** 2))
