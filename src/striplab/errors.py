@@ -25,10 +25,6 @@ class StepTooLarge(StripLabError):
     pass
 
 
-class StripExit(StripLabError):
-    pass
-
-
 class StartOffSection(StripLabError):
     pass
 
@@ -44,10 +40,6 @@ class EmptySpectrum(StripLabError):
 
 
 # -- continuation / growth
-
-class StripExceeded(StripLabError):
-    pass
-
 
 class GridTooCoarse(StripLabError):
     pass

@@ -37,10 +37,9 @@ from .wigner import (BandCutoff, GaussianSymbol, Interval,
 from .zeros import laurent_roots
 
 
-def sine_spectrum(n, tau_max=1.0):
+def sine_spectrum(n):
     """Orbital spectrum of sin(n t) on the period-2 pi circle."""
-    return OrbitalSpectrum(float(n), TORUS_SIDE,
-                           {n: -0.5j, -n: 0.5j}, tau_max=tau_max)
+    return OrbitalSpectrum(float(n), TORUS_SIDE, {n: -0.5j, -n: 0.5j})
 
 
 # ---------------------------------------------------------------- config
@@ -169,13 +168,6 @@ def validate_config(cfg):
         _need("geodesic" not in cfg, "geodesic", "Sine has no geodesic")
         _need(all(float(lam).is_integer() for lam in norm["lambdas"]),
               "lambdas", "Sine needs integer lambdas")
-    # the runners' spectra keep OrbitalSpectrum's default tau_max, and
-    # continuing one past it raises StripExceeded mid-run (growth's
-    # Parseval exponent does not continue, so it has no bound)
-    tau_bound = OrbitalSpectrum.tau_max
-    if name in ("equidistribution", "nonperiodic-window"):
-        _need(norm["strip"]["tau_max"] <= tau_bound, "strip.tau_max",
-              "must be at most the spectra's tau_max %g" % tau_bound)
     if name == "equidistribution":
         strip = norm["strip"]
         # laurent_roots finds no zero past tau_max, and reports t in one
@@ -190,9 +182,6 @@ def validate_config(cfg):
               "strip.box", "the box leaves the period [0, %g] of the "
               "geodesic" % period)
     if name == "wigner":
-        _need(norm["tau_scale"] / norm["lambdas"][0] <= tau_bound,
-              "tau_scale", "tau_scale / lambdas[0] must be at most the "
-              "spectra's tau_max %g" % tau_bound)
         _wigner_symbol(norm)
     if name == "nonperiodic-window":
         try:   # a width select_window takes on the runner's scan grid

@@ -38,7 +38,6 @@ class OrbitalSpectrum:
     lam: float
     period: float
     nu: InitVar[dict | None] = None
-    tau_max: float = 1.0
     n_min: int = 0
     coeffs: np.ndarray = ()
 
@@ -208,15 +207,14 @@ def band_mass(spectrum, a, b):
 
 
 def plancherel_check(samples, tau, sigma_grid, sgrid):
-    """Both sides of the windowed Plancherel identity at height tau >= 0.
+    """Both sides of the windowed Plancherel identity at height tau.
 
     Left: int |G . f^C (s + i tau)|^2 ds with the continuation rebuilt by
     Fourier inversion of nu^G.  Right: (1/2 pi) int e^{-2 tau sigma}
-    |nu^G(sigma)|^2 d sigma.  Derived with the weight e^{-2 tau sigma} for
-    tau >= 0 (the continuation of e^{i s sigma} is e^{i(s + i tau) sigma}).
+    |nu^G(sigma)|^2 d sigma.  The continuation of e^{i s sigma} is
+    e^{i(s + i tau) sigma}, of modulus e^{-tau sigma}, so the identity
+    holds for either sign of tau.
     """
-    if tau < 0:
-        raise ValueError("convention pins tau >= 0")
     spec = windowed_transform(samples, sigma_grid)
     vals = continue_windowed(spec, sgrid, tau)[0]
     lhs = float(np.trapezoid(np.abs(vals) ** 2, sgrid))

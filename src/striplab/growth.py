@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (ContinuationOverflow, EmptySpectrum, GridTooCoarse,
-                     OffShell, StripExceeded, ZeroEigenvalue)
+                     OffShell, ZeroEigenvalue)
 from .geodesics import flat_sqrt_rho
 from .surfaces import annulus_lattice_points
 
@@ -64,8 +64,9 @@ def continue_periodic_grid(spectrum, t, tau):
 
     Returns shape (len(tau), len(t)).  The one evaluator of the sum:
     points, paths and box edges are 1x1, one-row or one-column grids.
-    Raises StripExceeded beyond the spectrum's tau_max and
-    ContinuationOverflow where e^{2 pi |n tau| / L} leaves float64.
+    A finite sum is entire, so any height is allowed; the one limit is
+    float64, and ContinuationOverflow is raised where e^{2 pi |n tau| / L}
+    leaves it.
 
     When t is period aligned, t = t0 + j L / m for an integer m (to a
     few ulps) with m log2 m at most terms x points, each tau row is one
@@ -81,8 +82,6 @@ def continue_periodic_grid(spectrum, t, tau):
     w = 2.0 * np.pi / spectrum.period
     t, tau = (np.atleast_1d(np.asarray(a, dtype=float)) for a in (t, tau))
     tau_top = float(np.max(np.abs(tau)))
-    if tau_top > spectrum.tau_max + 1e-15:
-        raise StripExceeded("|tau|=%g beyond %g" % (tau_top, spectrum.tau_max))
     if w * max(-ns[0], ns[-1]) * tau_top > np.log(np.finfo(float).max):
         raise ContinuationOverflow("e^{w n tau} overflows at tau=%g" % tau_top)
     m = _period_steps(t, spectrum.period, len(ns))

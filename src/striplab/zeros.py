@@ -24,8 +24,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import (BoundaryZero, EmptySpectrum, RootsNotConverged,
-                     StripExceeded)
+from .errors import BoundaryZero, EmptySpectrum, RootsNotConverged
 from .growth import continue_periodic_grid
 
 _EPS = np.finfo(float).eps
@@ -329,15 +328,15 @@ def laurent_roots(spectrum, tau_max):
     t + i tau.  Count over the full annulus of analyticity is exactly
     the polynomial degree.  conditioning_warning is set when a zero's
     backward residual |p(z)| / sum |c_k| |z|^k, which is
-    |f(w)| / sum |nu(n)| e^{-2 pi n tau / L}, exceeds 1e-10.  Raises
-    StripExceeded when tau_max is beyond the spectrum's tau_max, and
-    RootsNotConverged when the iteration does not settle.
+    |f(w)| / sum |nu(n)| e^{-2 pi n tau / L}, exceeds 1e-10.  The
+    continuation is entire, so every tau_max >= 0 is a valid search
+    height; a negative one raises ValueError, and RootsNotConverged is
+    raised when the iteration does not settle.
     """
     if not len(spectrum.coeffs):
         raise EmptySpectrum("spectrum has no entries")
-    if tau_max > spectrum.tau_max:
-        raise StripExceeded("tau_max=%g beyond %g"
-                            % (tau_max, spectrum.tau_max))
+    if tau_max < 0:
+        raise ValueError("tau_max=%g is negative" % tau_max)
     L = spectrum.period
     roots, mults = _multiplicities(
         _aberth(spectrum.coeffs, _real_seeds(spectrum)))
@@ -400,10 +399,13 @@ def argument_principle_count(spectrum, box):
     The next attempt starts at the sampling whose step is the pad: there
     a simple zero left behind turns the phase by less than pi/2, and one
     of multiplicity up to three cannot alias to a small step.  The count
-    is that of the dilated box.  Three attempts.
+    is that of the dilated box.  Three attempts.  A box that is not
+    ordered t0 < t1, u0 < u1 raises ValueError.
     """
     top = max(abs(spectrum.n_min), abs(spectrum.n_max))
     t0, t1, u0, u1 = box
+    if t0 >= t1 or u0 >= u1:
+        raise ValueError("box %s needs t0 < t1 and u0 < u1" % (box,))
     n = max(_AP_POINTS, math.ceil(4 * top * (t1 - t0) / spectrum.period))
     n_top = n << (_AP_DOUBLINGS - 1)
     for _ in range(3):

@@ -157,7 +157,6 @@ def test_criterion_07_method_agreement():
     for seed in (0, 1):
         spec = sl.exact_restriction_spectrum(
             sl.sample_random_wave(30.0, 1.0, seed), state)
-        spec.tau_max = 0.5
         zs = sl.laurent_roots(spec, tau_max=0.3)
         prof = sl.growth_profile(spec, sl.Strip(0.0, L, 0.3, nt=2048,
                                                 ntau=257))

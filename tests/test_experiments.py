@@ -70,12 +70,7 @@ def test_validate_config_field_paths(tmp_path):
              (dict(window, window_width=100.0), "window_width"),
              (dict(window, window_width=1e-4), "window_width"),
              # on q=(1,0) the symbol and its shift leave [0, 2 pi]
-             ({"experiment": "wigner", "lambdas": [20, 40]}, "symbol_width"),
-             # strips past the spectra's tau_max (1.0)
-             (dict(box, strip={"tau_max": 3.0}), "strip.tau_max"),
-             (dict(window, strip={"tau_max": 1.5}), "strip.tau_max"),
-             ({"experiment": "wigner", "lambdas": [20, 40],
-               "geodesic": {"q": [1, 1]}, "tau_scale": 30.0}, "tau_scale")]
+             ({"experiment": "wigner", "lambdas": [20, 40]}, "symbol_width")]
     path = tmp_path / "cfg.json"
     for cfg, fieldpath in cases:
         with pytest.raises(ConfigInvalid) as err:
@@ -89,6 +84,39 @@ def test_validate_config_field_paths(tmp_path):
     wide = [0.0, 8.0, -0.2, 0.2]
     assert validate_config(dict(box, geodesic={"q": [1, 1]},
                                 strip={"box": wide}))["strip"]["box"] == wide
+
+
+def test_strips_of_any_height_run():
+    # restrictions are finite sums, entire in t + i tau: a strip past
+    # height 1 is a valid input, judged by the law like any other
+    equi = run_experiment({"experiment": "equidistribution", "lambdas": [10],
+                           "strip": {"tau_max": 3.0}})
+    spec = exact_restriction_spectrum(sample_random_wave(10, 1.0, 0),
+                                      torus_geodesic((1, 0)))
+    # |tau| <= 3 holds every zero of the Laurent polynomial, so the
+    # pairing overshoots the law's 2
+    assert round(equi.per_seed[0]["count_over_lambda"] * 10) == \
+        spec.n_max - spec.n_min
+    assert not equi.passed
+    assert run_experiment({"experiment": "nonperiodic-window",
+                           "lambdas": [60], "strip": {"tau_max": 1.5}}).passed
+    assert run_experiment({"experiment": "wigner", "lambdas": [20, 40],
+                           "geodesic": {"q": [1, 1]},
+                           "tau_scale": 30.0}).passed
+
+
+def test_cli_reports_a_height_past_float64(tmp_path, capsys):
+    # tau = 800 / 100 makes e^{w n tau} leave float64: the config is
+    # valid, and the run stops before it writes anything
+    path = tmp_path / "wigner.json"
+    path.write_text(json.dumps({"experiment": "wigner", "lambdas": [100, 200],
+                                "geodesic": {"q": [1, 1]},
+                                "tau_scale": 800.0}))
+    assert cli_main(["validate", str(path)]) == 0
+    capsys.readouterr()
+    assert cli_main(["run", str(path), "-o", str(tmp_path / "o")]) == 2
+    assert "overflows" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 # one tiny config of each experiment, plus the Sine surface
@@ -303,7 +331,8 @@ def test_console_script_installed():
 def test_demo_runs(script, tmp_path):
     demos = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                          os.pardir, "demos")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path),
+               PYTHONWARNINGS="error")
     proc = subprocess.run([sys.executable, os.path.join(demos, script)],
                           cwd=tmp_path, capture_output=True, text=True,
                           env=env)

@@ -183,19 +183,14 @@ def test_window_too_short():
 
 
 def test_plancherel_single_frequency_closed_form():
-    mu, tau = 10.0, 0.2
+    mu = 10.0
     samples = _single_freq_samples(mu)
     sigma = np.linspace(-mu - 8, mu + 8, 801)
     sgrid = np.linspace(-7.5, 7.5, 1024)
-    lhs, rhs, gap = plancherel_check(samples, tau, sigma, sgrid)
-    closed = math.sqrt(math.pi) * math.exp(-2 * tau * mu + tau * tau)
-    assert gap < 1e-10
-    assert lhs == pytest.approx(closed, rel=1e-10)
-    assert rhs == pytest.approx(closed, rel=1e-10)
-
-
-def test_plancherel_rejects_negative_tau():
-    samples = _single_freq_samples(5.0)
-    with pytest.raises(ValueError):
-        plancherel_check(samples, -0.1, np.linspace(-13, 13, 401),
-                         np.linspace(-7.5, 7.5, 256))
+    # the identity holds on either side of the axis
+    for tau in (0.2, -0.2):
+        lhs, rhs, gap = plancherel_check(samples, tau, sigma, sgrid)
+        closed = math.sqrt(math.pi) * math.exp(-2 * tau * mu + tau * tau)
+        assert gap < 1e-10
+        assert lhs == pytest.approx(closed, rel=1e-10)
+        assert rhs == pytest.approx(closed, rel=1e-10)

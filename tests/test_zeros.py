@@ -9,8 +9,7 @@ from striplab import (OrbitalSpectrum, Strip, argument_principle_count,
                       exact_restriction_spectrum, growth_profile,
                       laurent_roots, lelong_box_integral, lelong_density,
                       sample_random_wave, torus_geodesic, zeros)
-from striplab.errors import (BoundaryZero, EmptySpectrum, RootsNotConverged,
-                             StripExceeded)
+from striplab.errors import BoundaryZero, EmptySpectrum, RootsNotConverged
 from striplab.experiments import sine_spectrum
 from striplab.growth import continue_periodic_grid
 
@@ -47,9 +46,17 @@ def test_sine_zeros_exact():
     got = sorted(z.real for z, _ in zs.zeros)
     assert got == pytest.approx([k * np.pi / n for k in range(2 * n)],
                                 abs=1e-10)
-    # no zero is sought past the strip the spectrum is continued on
-    with pytest.raises(StripExceeded):
-        laurent_roots(sine_spectrum(5), tau_max=3.0)
+    # the continuation is entire: a strip of any height holds only the
+    # real zeros of sin(5 t)
+    wide = laurent_roots(sine_spectrum(5), tau_max=3.0)
+    assert wide.count() == 10
+    assert all(abs(z.imag) < 1e-10 and m == 1 for z, m in wide.zeros)
+
+
+def test_laurent_roots_rejects_a_negative_height():
+    # |tau| <= -0.1 holds no point: an empty ZeroSet would read as no zero
+    with pytest.raises(ValueError):
+        laurent_roots(sine_spectrum(5), tau_max=-0.1)
 
 
 def test_zeros_are_actual_zeros():
@@ -399,6 +406,16 @@ def test_edge_zero_is_never_miscounted():
         pass
 
 
+def test_argument_principle_rejects_a_reversed_box():
+    # a reversed box is walked clockwise: its winding would read -9
+    spec = sine_spectrum(5)
+    assert argument_principle_count(spec, (0.1, 5.9, -0.2, 0.2)) == 9
+    for box in ((5.9, 0.1, -0.2, 0.2), (0.1, 5.9, 0.2, -0.2),
+                (0.1, 0.1, -0.2, 0.2), (0.1, 5.9, 0.2, 0.2)):
+        with pytest.raises(ValueError):
+            argument_principle_count(spec, box)
+
+
 def test_zeros_on_an_edge_are_counted_after_one_dilation():
     # the bottom edge runs through 30 simple zeros of sin(50 t): the
     # phase turns by pi at each of them however fine the sampling
@@ -430,7 +447,7 @@ def test_count_methods_agree_on_random_spectra(seed):
 
 def test_lelong_density_recovers_sine_count():
     n = 10
-    spec = sine_spectrum(n, tau_max=0.6)
+    spec = sine_spectrum(n)
     # offset the grid so no zero sits on (or within a cell of) the box
     # edges; pi/20 is halfway between consecutive sine zeros
     eps = np.pi / 20
