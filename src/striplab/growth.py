@@ -139,6 +139,23 @@ def _period_steps(t, period, nterms):
     return m if np.max(np.abs(t - ideal)) <= tol else None
 
 
+def _fast_length(n):
+    """The least integer >= n >= 1 with no prime factor above 5, the
+    point count of a period-aligned grid: numpy's FFT runs a generic pass
+    for each larger prime factor, which made the lengths 4525 = 5^2 181
+    and 67882 = 2 33941 8 and 14 times slower than 4608 and 69120."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            # 2^k p35 for the least k with 2^k p35 >= n
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
 def _fft_rows(coeffs, n_min, m, nt):
     """Rows of sum_k coeffs[:, k] e^{2 pi i (n_min + k) j / m}, j < nt."""
     ntau, nterms = coeffs.shape

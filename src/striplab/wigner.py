@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import SupportLeak, VanishingRestriction
 from .fourier import band_mass
-from .growth import continue_periodic_grid
+from .growth import _fast_length, continue_periodic_grid
 from .surfaces import TORUS_VOLUME
 
 COSPHERE_VOLUME = 2.0 * np.pi * TORUS_VOLUME     # vol(S*M) of the flat torus
@@ -98,9 +98,12 @@ class WignerDensity:
 
 
 def _grid_for(interval, lam, points_per_wavelength=16):
+    """Closed grid of n + 1 points on the interval: n is the least
+    5-smooth integer (a fast FFT length) that is at least 256 and gives
+    points_per_wavelength points a wavelength 2 pi / lam."""
     n = max(256, int(points_per_wavelength * lam * interval.length
                      / (2.0 * np.pi)))
-    return np.linspace(interval.lo, interval.hi, n + 1)
+    return np.linspace(interval.lo, interval.hi, _fast_length(n) + 1)
 
 
 def normalized_pullback(spectrum, tau, interval):

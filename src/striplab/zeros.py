@@ -65,15 +65,17 @@ class ZeroSet:
     conditioning_warning: bool = False
 
     def count(self, box=None):
-        """Total multiplicity, optionally inside [t0,t1] x [tau0,tau1]."""
-        total = 0
-        for z, m in self.zeros:
-            if box is not None:
-                t0, t1, u0, u1 = box
-                if not (t0 <= z.real <= t1 and u0 <= z.imag <= u1):
-                    continue
-            total += m
-        return total
+        """Total multiplicity, optionally inside [t0,t1] x [tau0,tau1].
+
+        The box is closed; one with t0 > t1 or tau0 > tau1 holds no
+        point and raises ValueError rather than count 0."""
+        if box is None:
+            return sum(m for _, m in self.zeros)
+        t0, t1, u0, u1 = box
+        if t0 > t1 or u0 > u1:
+            raise ValueError("box %s needs t0 <= t1 and u0 <= u1" % (box,))
+        return sum(m for z, m in self.zeros
+                   if t0 <= z.real <= t1 and u0 <= z.imag <= u1)
 
     def real_axis_fraction(self, tol):
         n = self.count()

@@ -16,7 +16,7 @@ from striplab import (OrbitalSpectrum, RestrictionSamples,
 from striplab.errors import (ContinuationOverflow, EmptySpectrum,
                              GridTooCoarse, OffShell, ZeroEigenvalue)
 from striplab.experiments import sine_spectrum
-from striplab.growth import _period_steps
+from striplab.growth import _fast_length, _period_steps
 from striplab.zeros import _boundary_values
 
 L = 2 * np.pi
@@ -87,6 +87,25 @@ def test_grid_continuation_matches_scalar():
                 assert grid[i] == pytest.approx(
                     [_fsum_continuation(spec, s + 1j * u) for s in ta],
                     rel=1e-12)
+
+
+def _smooth(n):
+    for p in (2, 3, 5):
+        while n % p == 0:
+            n //= p
+    return n == 1
+
+
+def test_fast_length_is_the_next_5_smooth_integer():
+    nxt = 1
+    for n in range(1, 5001):
+        nxt = max(nxt, n)
+        while not _smooth(nxt):
+            nxt += 1
+        assert _fast_length(n) == nxt
+    for n in (1, 2, 256, 4608, 69120, 2 ** 20, 3 ** 12 * 5 ** 3):
+        assert _fast_length(n) == n
+    assert _fast_length(67882) == 69120
 
 
 def test_fft_and_dense_paths_agree():

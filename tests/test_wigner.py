@@ -1,4 +1,6 @@
+import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from striplab import (BandCutoff, GaussianSymbol, Interval,
                       wigner_pairing)
 from striplab.errors import SupportLeak, VanishingRestriction
 from striplab.fourier import exact_restriction_spectrum
+from striplab.wigner import _grid_for
 from test_fourier import _periodic_samples
 
 L = 2 * np.pi
@@ -28,13 +31,25 @@ def test_pullback_has_unit_mass():
 
 
 def test_pullback_at_lambda_3000():
-    # the wigner grid is period aligned, so its 67883 points cost one FFT
-    # instead of an 8489 x 67883 dense kernel
+    # the wigner grid is period aligned, so its 69121 points cost one FFT
+    # instead of an 8489 x 69121 dense kernel; 16 points a wavelength ask
+    # for 67882 = 2 33941, raised to 69120 = 2^9 3^3 5, a fast FFT length
     lam = 3000.0
     spec = _spec(0, lam)
     dens = normalized_pullback(spec, 0.5 / lam, Interval(0.0, spec.period))
-    assert len(dens.tgrid) == 67883
+    assert len(dens.tgrid) == 69121
     assert dens.integral() == pytest.approx(1.0, abs=1e-12)
+
+
+def test_shipped_wigner_grids_have_5_smooth_lengths():
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "demos",
+                        "configs", "wigner.json")
+    with open(path) as fh:
+        cfg = json.load(fh)
+    interval = Interval(0.0, torus_geodesic(cfg["geodesic"]["q"]).period)
+    # 16 points a wavelength give 2262, 4525 and 9050 steps
+    assert [len(_grid_for(interval, lam)) for lam in cfg["lambdas"]] == [
+        2305, 4609, 9217]
 
 
 def test_vanishing_restriction_raises():

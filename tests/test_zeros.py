@@ -416,6 +416,15 @@ def test_argument_principle_rejects_a_reversed_box():
             argument_principle_count(spec, box)
 
 
+def test_zero_count_rejects_a_reversed_box():
+    # a reversed box would hold no zero and count 0 without complaint
+    zs = laurent_roots(sine_spectrum(5), 0.3)
+    assert zs.count((0.1, 5.9, -0.2, 0.2)) == 9
+    for box in ((5.9, 0.1, -0.2, 0.2), (0.1, 5.9, 0.2, -0.2)):
+        with pytest.raises(ValueError):
+            zs.count(box)
+
+
 def test_zeros_on_an_edge_are_counted_after_one_dilation():
     # the bottom edge runs through 30 simple zeros of sin(50 t): the
     # phase turns by pi at each of them however fine the sampling
