@@ -16,7 +16,6 @@ import json
 import math
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -263,11 +262,12 @@ def _wigner_symbol(cfg):
     return interval, a
 
 
-def _csv(header, rows):
-    """CSV text of a header line and rows of Python numbers, each
-    written as its repr, so that a float reads back bit for bit."""
-    return header + "\n" + "".join(",".join(map(repr, row)) + "\n"
-                                    for row in rows)
+def _csv(header, *columns):
+    """CSV text of a header line and equal-length columns of numbers,
+    each written as the repr of its Python value, so that a float reads
+    back bit for bit."""
+    cols = (map(repr, np.asarray(col).tolist()) for col in columns)
+    return "\n".join([header, *map(",".join, zip(*cols))]) + "\n"
 
 
 def _cells(cfg, rec, cell):
@@ -281,6 +281,8 @@ def _cells(cfg, rec, cell):
     if rec.threads == 1:
         out = [cell(*c) for c in pairs]
     else:
+        # imported here: a one-thread run does without concurrent.futures
+        from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=rec.threads) as pool:
             out = list(pool.map(lambda c: cell(*c), pairs))
     rec.per_seed = [row for row, _ in out]
@@ -302,10 +304,10 @@ def _run_equidistribution(cfg, rec):
                 "near_axis_fraction":
                     zs.real_axis_fraction(cfg["near_axis_tol"])}, zs
 
-    rec.extra_csv["zeros.csv"] = _csv(
-        "t,tau,multiplicity", ((z.real, z.imag, m)
-                               for zs in _cells(cfg, rec, cell)
-                               for z, m in zs.zeros))
+    zeros = [p for zs in _cells(cfg, rec, cell) for p in zs.zeros]
+    z = np.array([z for z, _ in zeros], dtype=complex)
+    rec.extra_csv["zeros.csv"] = _csv("t,tau,multiplicity", z.real, z.imag,
+                                      [m for _, m in zeros])
 
     mean_pair, se = _mean_se([m["pairing"] for m in rec.per_seed])
     mean_frac, _ = _mean_se([m["near_axis_fraction"] for m in rec.per_seed])
@@ -338,11 +340,11 @@ def _run_growth(cfg, rec):
 
     # tau-sweep curves of each lambda's first seed for plotting
     taus = np.linspace(0.0, tau, 16)
+    specs = kept[::len(cfg["seeds"])]
     rec.extra_csv["growth_curves.csv"] = _csv(
-        "tau,lambda,exponent",
-        ((float(tv), float(lam), l2_growth_exponent(spec, tv))
-         for lam, spec in zip(cfg["lambdas"], kept[::len(cfg["seeds"])])
-         for tv in taus))
+        "tau,lambda,exponent", np.tile(taus, len(specs)),
+        np.repeat(np.asarray(cfg["lambdas"], dtype=float), len(taus)),
+        [l2_growth_exponent(spec, tv) for spec in specs for tv in taus])
 
 
 def _run_band_mass(cfg, rec):
@@ -390,8 +392,7 @@ def _run_wigner(cfg, rec):
     rec.passed = gaps[-1] <= cfg["tolerances"]["final_gap"] and decreasing
     # density of the last lambda's first seed for plotting
     dens = kept[-len(cfg["seeds"])]
-    rec.extra_csv["wigner.csv"] = _csv(
-        "t,density", zip(map(float, dens.tgrid), map(float, dens.samples)))
+    rec.extra_csv["wigner.csv"] = _csv("t,density", dens.tgrid, dens.samples)
 
 
 def _run_qer(cfg, rec):
@@ -561,28 +562,29 @@ def write_results(record, outdir):
 
 
 def _read_csv(path):
+    """The rows of a raw CSV below its header, as an (n, columns) float
+    array."""
     with open(path) as fh:
-        rows = list(csv.reader(fh))
-    return [[float(v) for v in r] for r in rows[1:] if r]
+        header, _, body = fh.read().partition("\n")
+    values = list(map(float, body.replace(",", " ").split()))
+    return np.array(values).reshape(-1, header.count(",") + 1)
 
 
 def _draw_zeros(fig, rows):
-    fig.scatter([r[0] for r in rows], [r[1] for r in rows], label="zeros")
+    fig.scatter(rows[:, 0], rows[:, 1], label="zeros")
     fig.hline(0.0, label="real axis")
 
 
 def _draw_growth(fig, rows):
-    by_lam = {}
-    for tau, lam, e in rows:
-        by_lam.setdefault(lam, []).append((tau, e))
-    for lam, pts in sorted(by_lam.items()):
-        pts.sort()
-        fig.line([p[0] for p in pts], [p[1] for p in pts],
-                 label="lambda=%g" % lam)
+    # not np.unique, whose first call imports numpy.ma
+    for lam in sorted(set(rows[:, 1].tolist())):
+        tau, e = rows[rows[:, 1] == lam][:, [0, 2]].T
+        order = np.lexsort((e, tau))
+        fig.line(tau[order], e[order], label="lambda=%g" % lam)
 
 
 def _draw_wigner(fig, rows):
-    fig.line([r[0] for r in rows], [r[1] for r in rows], label="density")
+    fig.line(rows[:, 0], rows[:, 1], label="density")
 
 
 # raw CSV, SVG, title, axis labels, how to draw its rows
@@ -603,7 +605,7 @@ def emit_plots(outdir):
             continue
         fig = Figure(title, xlabel, ylabel)
         rows = _read_csv(src)
-        if rows:
+        if len(rows):
             draw(fig, rows)
         path = os.path.join(outdir, svg_name)
         with open(path, "w") as fh:

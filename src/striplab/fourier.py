@@ -124,9 +124,10 @@ def exact_restriction_spectrum(mode, state):
     """
     if state.q is None:
         raise ValueError("exact spectrum needs a periodic lattice direction")
-    n, c = mode.ns, mode.coeffs.copy()
+    n, c = mode.ns, mode.coeffs
     k = n[:, 0] * state.q[0] + n[:, 1] * state.q[1]
-    c *= np.exp(1j * (n[:, 0] * state.x[0] + n[:, 1] * state.x[1]))
+    if any(state.x):   # the phase is exactly 1 at the origin
+        c = c * np.exp(1j * (n[:, 0] * state.x[0] + n[:, 1] * state.x[1]))
     coeffs = np.zeros(k.max() - k.min() + 1, dtype=complex)
     np.add.at(coeffs, k - k.min(), c)
     return OrbitalSpectrum(mode.lam, state.period, n_min=int(k.min()),

@@ -11,6 +11,7 @@ spectra fourier.sphere_equator_spectrum builds.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -125,13 +126,16 @@ def _isqrt(x):
     return s
 
 
+@functools.lru_cache(maxsize=1)
 def annulus_lattice_points(lam, delta):
     """All integer points with lam - delta <= |n| <= lam + delta.
 
-    A (K, 2) array in lexicographic order.  Each row n1 holds one or two
-    runs of n2, -hi..-lo and max(lo, 1)..hi, whose ends come from integer
-    square roots of the bounds on n2^2.  The bounds of all rows, and the
-    runs they span, are computed as whole arrays.
+    A read-only (K, 2) array in lexicographic order.  Each row n1 holds
+    one or two runs of n2, -hi..-lo and max(lo, 1)..hi, whose ends come
+    from integer square roots of the bounds on n2^2.  The bounds of all
+    rows, and the runs they span, are computed as whole arrays.  The
+    last (lam, delta) is memoised: the seeds of one lambda share one
+    array, and the cells run lambda by lambda.
     """
     lo2 = math.ceil(max(0.0, lam - delta) ** 2)
     hi2 = math.floor((lam + delta) ** 2)
@@ -148,8 +152,10 @@ def annulus_lattice_points(lam, delta):
     length = np.column_stack([hi - lo + 1, hi - pos + 1]).ravel()
     offset = np.arange(length.sum()) - np.repeat(np.cumsum(length) - length,
                                                  length)
-    return np.column_stack([np.repeat(np.repeat(n1, 2), length),
-                            np.repeat(first, length) + offset])
+    ns = np.column_stack([np.repeat(np.repeat(n1, 2), length),
+                          np.repeat(first, length) + offset])
+    ns.flags.writeable = False
+    return ns
 
 
 def sample_random_wave(lam, delta, seed):

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 WIDTH, HEIGHT = 640, 440
 MARGIN = 60
 PALETTE = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b"]
@@ -32,24 +34,28 @@ class Figure:
         self.title = title
         self.xlabel = xlabel
         self.ylabel = ylabel
-        self.series = []     # (kind, xs, ys, label, color)
+        self.series = []     # (kind, xs, ys, label, color), float arrays
+
+    def _add(self, kind, xs, ys, label, color):
+        self.series.append((kind, np.asarray(xs, dtype=float),
+                            np.asarray(ys, dtype=float), label, color))
 
     def line(self, xs, ys, label=None, color=None):
-        self.series.append(("line", list(xs), list(ys), label, color))
+        self._add("line", xs, ys, label, color)
 
     def scatter(self, xs, ys, label=None, color=None):
-        self.series.append(("scatter", list(xs), list(ys), label, color))
+        self._add("scatter", xs, ys, label, color)
 
     def hline(self, y, label=None, color="#888888"):
-        self.series.append(("hline", [], [y], label, color))
+        self._add("hline", [], [y], label, color)
 
     def _bounds(self):
-        xs = [x for k, sx, _, _, _ in self.series for x in sx]
-        ys = [y for k, _, sy, _, _ in self.series for y in sy]
-        if not xs:
+        xs = np.concatenate([sx for _, sx, _, _, _ in self.series] or [[]])
+        ys = np.concatenate([sy for _, _, sy, _, _ in self.series] or [[]])
+        if not len(xs):
             return 0.0, 1.0, 0.0, 1.0
-        x0, x1 = min(xs), max(xs)
-        y0, y1 = min(ys), max(ys)
+        x0, x1 = float(xs.min()), float(xs.max())
+        y0, y1 = float(ys.min()), float(ys.max())
         if x0 == x1:
             x0, x1 = x0 - 0.5, x1 + 0.5
         if y0 == y1:
@@ -61,6 +67,7 @@ class Figure:
         x0, x1, y0, y1 = self._bounds()
         iw, ih = WIDTH - 2 * MARGIN, HEIGHT - 2 * MARGIN
 
+        # a number or a whole array: the same operations in the same order
         def px(x):
             return MARGIN + (x - x0) / (x1 - x0) * iw
 
@@ -107,12 +114,13 @@ class Figure:
                              % (MARGIN, py(ys[0]), WIDTH - MARGIN,
                                 py(ys[0]), color))
             elif kind == "scatter":
-                for x, y in zip(xs, ys):
-                    parts.append('<circle cx="%.1f" cy="%.1f" r="2.2" '
-                                 'fill="%s"/>' % (px(x), py(y), color))
+                circle = ('<circle cx="%%.1f" cy="%%.1f" r="2.2" fill="%s"/>'
+                          % color)
+                parts.extend(map(circle.__mod__,
+                                 zip(px(xs).tolist(), py(ys).tolist())))
             else:
-                pts = " ".join("%.1f,%.1f" % (px(x), py(y))
-                               for x, y in zip(xs, ys))
+                pts = " ".join(map("%.1f,%.1f".__mod__,
+                                   zip(px(xs).tolist(), py(ys).tolist())))
                 parts.append('<polyline points="%s" fill="none" '
                              'stroke="%s" stroke-width="1.5"/>' % (pts, color))
             if label:

@@ -359,14 +359,18 @@ def laurent_roots(spectrum, tau_max):
 
 
 def _boundary_values(spectrum, box, n):
-    """Continuation values counterclockwise around the box from (t0, u0)."""
+    """Continuation values counterclockwise around the box from (t0, u0).
+
+    The top edge is evaluated ascending and read backwards, so that it
+    is period aligned whenever the bottom edge is."""
     t0, t1, u0, u1 = box
     ts = np.linspace(t0, t1, n, endpoint=False)
     us = np.linspace(u0, u1, n, endpoint=False)
     return np.concatenate([
         continue_periodic_grid(spectrum, ts, u0)[0],
         continue_periodic_grid(spectrum, t1, us)[:, 0],
-        continue_periodic_grid(spectrum, t0 + t1 - ts, u1)[0],
+        continue_periodic_grid(spectrum, np.linspace(t0, t1, n + 1)[1:],
+                               u1)[0, ::-1],
         continue_periodic_grid(spectrum, t0, np.r_[u0 + u1 - us, u0])[:, 0]])
 
 

@@ -10,9 +10,10 @@ from striplab import (BandCutoff, exact_restriction_spectrum, laurent_roots,
                       qer_matrix_element, sample_random_wave, torus_geodesic)
 from striplab.cli import main as cli_main
 from striplab.errors import ConfigInvalid
-from striplab.experiments import (SCHEMA, config_hash, emit_plots,
-                                  run_experiment, validate_config,
-                                  write_results)
+from striplab.experiments import (SCHEMA, _csv, _read_csv, config_hash,
+                                  emit_plots, run_experiment,
+                                  validate_config, write_results)
+from striplab.svgplot import HEIGHT, MARGIN, WIDTH, Figure
 
 SMALL_BAND = {"experiment": "band-mass", "lambdas": [40, 60],
               "seeds": [0, 1], "surface": {"kind": "RandomWaveTorus",
@@ -261,6 +262,86 @@ def test_results_identical_across_thread_counts(tmp_path):
         with open(os.path.join(out, "results.json"), "rb") as fh:
             blobs.append(fh.read())
     assert blobs[0] == blobs[1]
+
+
+@pytest.mark.parametrize("cfg", [
+    {"experiment": "growth", "lambdas": [30, 45, 60], "seeds": [0, 1, 2],
+     "tolerances": {"saturation": 1.0}},
+    {"experiment": "wigner", "lambdas": [20, 30, 40], "seeds": [0, 1, 2],
+     "geodesic": {"q": [1, 1]}, "tolerances": {"final_gap": 1.0}}],
+    ids=["growth", "wigner"])
+def test_multi_lambda_artifacts_identical_across_thread_counts(cfg,
+                                                              tmp_path):
+    # lambda-major cells share each lambda's memoised lattice; more
+    # threads than cores, switching often, interleave them without
+    # changing a byte
+    blobs = []
+    interval = sys.getswitchinterval()
+    for threads in ("1", "8"):
+        os.environ["LAB_THREADS"] = threads
+        sys.setswitchinterval(1e-6)
+        try:
+            out = write_results(run_experiment(cfg),
+                                str(tmp_path / ("t" + threads)))
+        finally:
+            os.environ.pop("LAB_THREADS", None)
+            sys.setswitchinterval(interval)
+        names = sorted(set(os.listdir(out)) - {"manifest.json"})
+        assert "results.json" in names and len(names) == 3
+        blobs.append({n: (tmp_path / ("t" + threads) / n).read_bytes()
+                      for n in names})
+    assert blobs[0] == blobs[1]
+
+
+def test_csv_columns_match_the_row_wise_repr(tmp_path):
+    cols = ([0, -3, 2 ** 40, 7], [-0.0, 1e-300, 1e16, 0.1],
+            [1.0 / 3.0, -2.5e-8, 5e-324, 123456789.0])
+    ref = "a,b,c\n" + "".join(",".join(map(repr, row)) + "\n"
+                              for row in zip(*cols))
+    text = _csv("a,b,c", np.array(cols[0]), np.array(cols[1]), cols[2])
+    assert text == ref
+    assert _csv("a,b", [], []) == "a,b\n"
+    path = tmp_path / "x.csv"
+    path.write_text(text)
+    rows = _read_csv(str(path))
+    assert rows.shape == (4, 3)
+    assert rows.tobytes() == np.array([list(map(float, r))
+                                       for r in zip(*cols)]).tobytes()
+    path.write_text("a,b\n")
+    assert _read_csv(str(path)).shape == (0, 2)
+
+
+def test_render_matches_per_point_marks():
+    rng = np.random.default_rng(3)
+    lx, ly = np.sort(rng.uniform(-3, 9, 50)), rng.normal(size=50)
+    dx, dy = rng.uniform(-1, 1, 30), rng.uniform(-0.2, 0.2, 30)
+    dx[0], dy[0] = -0.0, 0.0
+    fig = Figure("t", "x", "y")
+    fig.line(lx, ly, label="line")
+    fig.scatter(list(dx), list(dy), label="dots")
+    fig.hline(0.0)
+    svg = fig.render()
+    # the bounds and the pixel map of each point, one Python float at a time
+    xs, ys = list(lx) + list(dx), list(ly) + list(dy) + [0.0]
+    x0, x1, y0, y1 = min(xs), max(xs), min(ys), max(ys)
+    padx, pady = 0.05 * (x1 - x0), 0.05 * (y1 - y0)
+    x0, x1, y0, y1 = x0 - padx, x1 + padx, y0 - pady, y1 + pady
+    iw, ih = WIDTH - 2 * MARGIN, HEIGHT - 2 * MARGIN
+
+    def px(x):
+        return MARGIN + (float(x) - x0) / (x1 - x0) * iw
+
+    def py(y):
+        return HEIGHT - MARGIN - (float(y) - y0) / (y1 - y0) * ih
+
+    pts = " ".join("%.1f,%.1f" % (px(x), py(y)) for x, y in zip(lx, ly))
+    assert '<polyline points="%s" fill="none"' % pts in svg
+    lines = svg.splitlines()
+    first = lines.index('<circle cx="%.1f" cy="%.1f" r="2.2" fill="%s"/>'
+                        % (px(dx[0]), py(dy[0]), "#d62728"))
+    assert lines[first:first + 30] == [
+        '<circle cx="%.1f" cy="%.1f" r="2.2" fill="#d62728"/>'
+        % (px(x), py(y)) for x, y in zip(dx, dy)]
 
 
 def test_cli_round_trip(tmp_path):

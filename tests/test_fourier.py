@@ -58,6 +58,32 @@ def _fft_spectrum(values, n_max):
     return coeff[np.arange(-n_max, n_max + 1) % len(values)]
 
 
+def _phased_level_sums(mode, state):
+    """nu(n_min + k) summed with the phase e^{i<n, x0>} on every term."""
+    n = mode.ns
+    k = n @ np.asarray(state.q)
+    c = mode.coeffs * np.exp(1j * (n @ np.asarray(state.x, dtype=float)))
+    out = np.zeros(k.max() - k.min() + 1, dtype=complex)
+    np.add.at(out, k - k.min(), c)
+    return int(k.min()), out
+
+
+@pytest.mark.parametrize("x0", [(0.0, 0.0), (0.3, -1.1)])
+@pytest.mark.parametrize("q", [(1, 0), (1, 1), (2, -3)])
+def test_exact_spectrum_matches_the_phased_level_sums(q, x0):
+    mode = sample_random_wave(60.0, 1.0, 4)
+    state = torus_geodesic(q, x0)
+    spec = exact_restriction_spectrum(mode, state)
+    n_min, ref = _phased_level_sums(mode, state)
+    nz = np.flatnonzero(ref)
+    assert spec.n_min == n_min + nz[0]
+    if x0 == (0.0, 0.0):   # the skipped phase is exactly 1
+        assert spec.coeffs.tobytes() == ref[nz[0]:nz[-1] + 1].tobytes()
+    else:
+        err = np.abs(spec.coeffs - ref[nz[0]:nz[-1] + 1])
+        assert np.max(err) <= 1e-13 * np.max(np.abs(ref))
+
+
 def test_fft_coefficients_match_exact_spectrum():
     mode = sample_random_wave(25.0, 1.0, 5)
     # off the axis, |<n, q>| <= |q| (lambda + delta) = 58.1 along (2, 1)

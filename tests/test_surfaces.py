@@ -97,6 +97,26 @@ def test_random_wave_on_row_loop_lattice_is_bit_equal(lam, monkeypatch):
         assert wave.coeffs.tobytes() == ref.coeffs.tobytes()
 
 
+def test_lattice_is_one_read_only_array_per_annulus():
+    a = annulus_lattice_points(300, 1.0)
+    assert annulus_lattice_points(300, 1.0) is a
+    assert annulus_lattice_points(301, 1.0) is not a
+    with pytest.raises(ValueError):
+        a[0, 0] = 7
+    with pytest.raises(ValueError):
+        sample_random_wave(300, 1.0, 0).ns[0, 0] = 7
+
+
+def test_random_wave_is_the_same_whether_its_lattice_is_memoised():
+    calls = [(300, 0), (301, 1), (300, 2)]
+    memo = [sample_random_wave(lam, 1.0, seed) for lam, seed in calls]
+    for wave, (lam, seed) in zip(memo, calls):
+        annulus_lattice_points.cache_clear()
+        fresh = sample_random_wave(lam, 1.0, seed)
+        assert wave.ns.tobytes() == fresh.ns.tobytes()
+        assert wave.coeffs.tobytes() == fresh.coeffs.tobytes()
+
+
 def test_annulus_empty_window_raises():
     with pytest.raises(EmptyWindow):
         sample_random_wave(5.5, 0.01, 0)   # no integer n^2 in [30.14, 30.36]

@@ -11,7 +11,7 @@ from striplab import (OrbitalSpectrum, Strip, argument_principle_count,
                       sample_random_wave, torus_geodesic, zeros)
 from striplab.errors import BoundaryZero, EmptySpectrum, RootsNotConverged
 from striplab.experiments import sine_spectrum
-from striplab.growth import continue_periodic_grid
+from striplab.growth import _exp_sum, _period_steps, continue_periodic_grid
 
 L = 2 * np.pi
 
@@ -382,6 +382,27 @@ def test_argument_principle_counts_the_full_strip(lam300):
     for spec, zs in lam300:
         box = (0.0, L, -0.2, 0.2)
         assert argument_principle_count(spec, box) == zs.count(box)
+
+
+def test_top_edge_takes_the_fft_and_matches_the_dense_sum(lam300,
+                                                         monkeypatch):
+    spec = lam300[0][0]
+    box, n = (0.0, L, -0.2, 0.2), 1200
+    grids = []
+
+    def record(spectrum, t, tau):
+        grids.append(np.atleast_1d(t))
+        return continue_periodic_grid(spectrum, t, tau)
+
+    monkeypatch.setattr(zeros, "continue_periodic_grid", record)
+    top = zeros._boundary_values(spec, box, n)[2 * n:3 * n]
+    bottom, _, top_grid, _ = grids
+    for t in (bottom, top_grid):
+        assert _period_steps(t, L, len(spec.coeffs)) == n
+    # counterclockwise: from (t1, u1) back towards t0
+    t_desc = L - np.arange(n) * (L / n)
+    dense = _exp_sum(1.0, spec.freqs, spec.coeffs, t_desc, [0.2])[0]
+    assert np.max(np.abs(top - dense)) <= 1e-12 * np.max(np.abs(dense))
 
 
 def test_boundary_zero_still_raises():
