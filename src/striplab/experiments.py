@@ -10,7 +10,6 @@ is byte-stable, timing goes to the manifest only.
 from __future__ import annotations
 
 import copy
-import csv
 import hashlib
 import json
 import math
@@ -263,10 +262,12 @@ def _wigner_symbol(cfg):
 
 
 def _csv(header, *columns):
-    """CSV text of a header line and equal-length columns of numbers,
-    each written as the repr of its Python value, so that a float reads
-    back bit for bit."""
-    cols = (map(repr, np.asarray(col).tolist()) for col in columns)
+    """CSV text of a header line and equal-length columns, arrays or
+    lists of Python numbers, each value written as the repr of its Python
+    value, so that a float reads back bit for bit and a list keeps each
+    value's type: [20, 30.5] writes 20 and 30.5."""
+    cols = (map(repr, np.asarray(col, dtype=object).tolist())
+            for col in columns)
     return "\n".join([header, *map(",".join, zip(*cols))]) + "\n"
 
 
@@ -299,9 +300,8 @@ def _run_equidistribution(cfg, rec):
         zs = laurent_roots(_spectrum_for(cfg, lam, seed), tau_max)
         # the pairing (1/lam) sum f(z) of the box indicator f
         pairing = zs.count(tuple(box)) / lam
-        return {"lambda": lam, "seed": seed, "count_over_lambda": pairing,
-                "pairing": pairing, "reference": ref,
-                "near_axis_fraction":
+        return {"lambda": lam, "seed": seed, "pairing": pairing,
+                "reference": ref, "near_axis_fraction":
                     zs.real_axis_fraction(cfg["near_axis_tol"])}, zs
 
     zeros = [p for zs in _cells(cfg, rec, cell) for p in zs.zeros]
@@ -538,13 +538,6 @@ def write_results(record, outdir):
     with open(os.path.join(outdir, "results.json"), "w") as fh:
         json.dump(results, fh, sort_keys=True, indent=2)
         fh.write("\n")
-    with open(os.path.join(outdir, "metrics.csv"), "w", newline="") as fh:
-        if record.per_seed:
-            writer = csv.DictWriter(fh, fieldnames=sorted(record.per_seed[0]))
-            writer.writeheader()
-            writer.writerows(record.per_seed)
-        else:
-            fh.write("\n")
     manifest = {"experiment": record.experiment,
                 "inputs_hash": record.inputs_hash,
                 "version": __version__,
@@ -555,7 +548,10 @@ def write_results(record, outdir):
     with open(os.path.join(outdir, "manifest.json"), "w") as fh:
         json.dump(manifest, fh, sort_keys=True, indent=2)
         fh.write("\n")
-    for name, text in record.extra_csv.items():
+    keys = sorted(record.per_seed[0]) if record.per_seed else []
+    metrics = _csv(",".join(keys),
+                   *([m[k] for m in record.per_seed] for k in keys))
+    for name, text in {"metrics.csv": metrics, **record.extra_csv}.items():
         with open(os.path.join(outdir, name), "w") as fh:
             fh.write(text)
     return outdir

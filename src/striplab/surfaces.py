@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -68,11 +68,6 @@ class Eigenmode:
     lam: float
     ns: np.ndarray
     coeffs: np.ndarray
-
-    @property
-    def normalization(self):
-        """Squared L^2(M) norm, = sum |c_n|^2 * vol(M)."""
-        return float(np.sum(np.abs(self.coeffs) ** 2)) * TORUS_VOLUME
 
 
 @dataclass(frozen=True)
@@ -170,11 +165,15 @@ def sample_random_wave(lam, delta, seed):
         raise EmptyWindow("no lattice point with %g <= |n| <= %g"
                           % (lam - delta, lam + delta))
     # the annulus is symmetric under n -> -n, so (0, 0) is the only
-    # unpaired point; the upper half of ns starts with it if present
-    origin = len(ns) % 2
+    # unpaired point and sits in the middle of ns if present; the upper
+    # half above it takes the normals as (re, im) pairs, the lower half
+    # their conjugates in mirrored order
+    half, origin = divmod(len(ns), 2)
     z = np.random.default_rng(seed).standard_normal(len(ns))
-    pairs = z[origin:].reshape(-1, 2) / math.sqrt(2)    # (re, im) rows
-    upper = np.concatenate([z[:origin], pairs[:, 0] + 1j * pairs[:, 1]])
-    coeffs = np.concatenate([np.conj(upper[origin:][::-1]), upper])
-    wave = Eigenmode(lam, ns, coeffs)
-    return replace(wave, coeffs=coeffs / math.sqrt(wave.normalization))
+    coeffs = np.empty(len(ns), dtype=complex)
+    upper = coeffs[half + origin:]
+    np.divide(z[origin:], math.sqrt(2), out=upper.view(float))
+    np.conj(upper[::-1], out=coeffs[:half])
+    coeffs[half:half + origin] = z[:origin]
+    coeffs /= math.sqrt(float(np.sum(np.abs(coeffs) ** 2)) * TORUS_VOLUME)
+    return Eigenmode(lam, ns, coeffs)

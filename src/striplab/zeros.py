@@ -31,9 +31,10 @@ _EPS = np.finfo(float).eps
 # Aberth sweeps before RootsNotConverged; blind starts take 13-18 at
 # degree 600-6000, seeded ones 10-30 (up to 43 at degree 12000)
 _MAX_SWEEPS = 100
-# complex elements per row block of an N x N step, or of the (N + 1)-term
-# power rows whose rows a p/p' block takes, 512 KB: blocks that stay in
-# cache run faster than 4 MB ones
+# complex elements per row block of the (N + 1)-term power rows whose
+# rows a p/p' block takes, 512 KB, which also holds the three real arrays
+# of an N x N pairwise block: blocks that stay in cache run faster than
+# 4 MB ones
 _BLOCK = 1 << 15
 # log-radius offset of the Aberth starts, + and - in turn.  At degree
 # 600-2800, 1e-2 costs 1.1-1.9 times the sweep work of 1e-3, and 1e-1
@@ -178,10 +179,10 @@ def _aberth(c, seeds=()):
     1 / (z_i - z_j)), with r = p/p'.  Given R seeds, 0 < R <= N, the
     angles of real zeros from _real_seeds, the starts are e^{i theta} at
     the seeds and the N - R points of _gap_starts scaled to the circle
-    of radius |c_0 / c_N|^{1/N}: nearly all seeds freeze in the first
-    sweep and the gaps hold the others in proportion to their width, so
-    a solve at lambda=300-3000 passes 2.5-2.8 N points through p/p',
-    not 6.2-6.7 N.  Otherwise the N starts are spread in angle around
+    of radius |c_0 / c_N|^{1/N}: nearly all seeds have settled before
+    the first step and the gaps hold the others in proportion to their
+    width, so a solve at lambda=300-3000 passes 2.5-2.8 N points through
+    p/p', not 6.2-6.7 N.  Otherwise the N starts are spread in angle around
     that circle, turned by 0.7 rad so that no start lies on the real axis,
     where the iterates of a real polynomial would stay.  Their radii
     alternate between radius e^{+-_START_OFF}, which breaks the symmetry
@@ -189,10 +190,13 @@ def _aberth(c, seeds=()):
     restriction has nu(-n) = conj(nu(n)), so |c_0| = |c_N|, the radius
     is 1, and iterates started on the unit circle stay on it until
     rounding pushes them off, about ten sweeps at degree 600.  An
-    iterate freezes once its step is below 1e-15 |z| or its backward
-    error is at rounding level, which is where the iterates of a
-    multiple root stop.  Raises RootsNotConverged when any iterate
-    still moves after _MAX_SWEEPS sweeps.
+    iterate whose backward error is at rounding level, which is where
+    the iterates of a multiple root stop, has settled: it takes no step
+    and costs no pairwise row.  One whose step falls below 1e-15 |z|
+    freezes after that step.  The pairwise sums run in real arithmetic,
+    (dx - i dy) / (dx^2 + dy^2), which costs less than numpy's complex
+    reciprocal.  Raises RootsNotConverged when any iterate still moves
+    after _MAX_SWEEPS sweeps.
     """
     n = len(c) - 1
     if n < 1:
@@ -207,17 +211,28 @@ def _aberth(c, seeds=()):
                             + 1j * (2.0 * np.pi * k / n + 0.7))
     moving = np.arange(n)
     for _ in range(_MAX_SWEEPS):
+        ratio, backward = _ratios(c, z[moving])
+        # an iterate whose backward error is at rounding level has settled
+        live = backward > 4.0 * (n + 1) * _EPS
+        moving, ratio = moving[live], ratio[live]
+        if not len(moving):
+            return z
         zi = z[moving]
-        ratio, backward = _ratios(c, zi)
+        # sum_{j != i} 1 / (z_i - z_j) = sum (dx - i dy) / (dx^2 + dy^2);
+        # a block's three real arrays fit in _BLOCK complex elements
         pair = np.empty(len(moving), dtype=complex)
-        for b in _row_blocks(len(moving), n):
-            d = zi[b, None] - z
-            d[np.arange(d.shape[0]), moving[b]] = np.inf
-            pair[b] = np.sum(np.reciprocal(d, out=d), axis=1)
+        for b in _row_blocks(len(moving), 3 * n // 2):
+            dx = zi.real[b, None] - z.real
+            dy = zi.imag[b, None] - z.imag
+            w = dx * dx
+            w += dy * dy
+            w[np.arange(w.shape[0]), moving[b]] = np.inf
+            np.reciprocal(w, out=w)
+            pair.real[b] = np.einsum("ij,ij->i", dx, w)
+            pair.imag[b] = -np.einsum("ij,ij->i", dy, w)
         step = ratio / (1.0 - ratio * pair)
         z[moving] = zi - step
-        moving = moving[(np.abs(step) > 1e-15 * np.abs(zi))
-                        & (backward > 4.0 * (n + 1) * _EPS)]
+        moving = moving[np.abs(step) > 1e-15 * np.abs(zi)]
         if not len(moving):
             return z
     raise RootsNotConverged("%d of %d Aberth iterates still move after "

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import os
 import subprocess
@@ -96,7 +98,7 @@ def test_strips_of_any_height_run():
                                       torus_geodesic((1, 0)))
     # |tau| <= 3 holds every zero of the Laurent polynomial, so the
     # pairing overshoots the law's 2
-    assert round(equi.per_seed[0]["count_over_lambda"] * 10) == \
+    assert round(equi.per_seed[0]["pairing"] * 10) == \
         spec.n_max - spec.n_min
     assert not equi.passed
     assert run_experiment({"experiment": "nonperiodic-window",
@@ -120,11 +122,14 @@ def test_cli_reports_a_height_past_float64(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
-# one tiny config of each experiment, plus the Sine surface
+# one tiny config of each experiment, plus the Sine surface and a
+# lambda list of an integer and a float, which metrics.csv writes as 20
+# and 30.5
 TINY = [{"experiment": "equidistribution", "lambdas": [20]},
         {"experiment": "growth", "lambdas": [20, 40]},
         {"experiment": "growth", "lambdas": [10, 20],
          "surface": {"kind": "Sine"}},
+        {"experiment": "growth", "lambdas": [20, 30.5]},
         {"experiment": "band-mass", "lambdas": [20], "seeds": [0, 1]},
         {"experiment": "wigner", "lambdas": [20, 40],
          "geodesic": {"q": [1, 1]}},
@@ -145,6 +150,18 @@ def test_every_experiment_validates_and_runs(cfg, tmp_path):
     write_results(rec, str(tmp_path))
     with open(tmp_path / "results.json") as fh:
         assert json.load(fh)["passed"] in (True, False)
+    assert (tmp_path / "metrics.csv").read_bytes() == \
+        _dictwriter_metrics(rec.per_seed)
+
+
+def _dictwriter_metrics(rows):
+    """metrics.csv as csv.DictWriter writes the rows, with LF line ends:
+    the reference for write_results."""
+    buf = io.StringIO()
+    writer = csv.DictWriter(buf, fieldnames=sorted(rows[0]))
+    writer.writeheader()
+    writer.writerows(rows)
+    return buf.getvalue().replace("\r\n", "\n").encode()
 
 
 def test_shipped_configs_validate():
@@ -198,7 +215,7 @@ def test_default_box_spans_the_geodesic_period():
     zs = laurent_roots(exact_restriction_spectrum(
         sample_random_wave(20, 1.0, 0), state), 0.2)
     assert zs.count((0.0, 2 * np.pi, -0.2, 0.2)) < zs.count()
-    assert round(row["count_over_lambda"] * 20) == zs.count()
+    assert round(row["pairing"] * 20) == zs.count()
 
 
 def test_qer_samples_along_the_configured_geodesic():

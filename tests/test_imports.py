@@ -1,17 +1,21 @@
 """Every name a module imports is used in it, every exception is raised,
-and the README still runs.
+the README still runs, and the CLI starts without modules it does not use.
 
 Parses each .py file of the package (except __init__.py, whose imports
 are its exports), the tests and the demos, and lists the imported names
 that no expression in the file reads.  Checks that each exception class
 of errors.py is raised somewhere in the package.  Runs the README's
 library quick start, so that a renamed or removed API fails here, not
-in a reader's hands.
+in a reader's hands.  Checks in a fresh process that importing the CLI
+loads neither csv, which no module uses, nor concurrent.futures, which
+only a run on more than one thread needs.
 """
 
 import ast
 import os
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -79,3 +83,12 @@ def test_readme_quick_start_runs(capsys):
         block = re.search(r"```python\n(.*?)```", fh.read(), re.S).group(1)
     exec(compile(block, "README.md", "exec"), {})
     assert len(capsys.readouterr().out.splitlines()) == block.count("print(")
+
+
+def test_cli_imports_neither_csv_nor_a_thread_pool():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    code = ("import sys, striplab.cli; print(sorted("
+            "{'csv', 'concurrent.futures'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, check=True)
+    assert proc.stdout == "[]\n"

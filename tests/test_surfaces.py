@@ -1,10 +1,11 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from striplab import surfaces
-from striplab import (GeodesicState, SurfaceModel,
+from striplab import (Eigenmode, GeodesicState, SurfaceModel,
                       annulus_lattice_points, make_torus_mode, sample_arc,
                       sample_random_wave, sphere_equator_spectrum,
                       torus_geodesic)
@@ -126,7 +127,8 @@ def test_random_wave_is_deterministic_and_normalized():
     a = sample_random_wave(30.0, 1.0, 7)
     b = sample_random_wave(30.0, 1.0, 7)
     assert np.array_equal(a.ns, b.ns) and np.array_equal(a.coeffs, b.coeffs)
-    assert a.normalization == pytest.approx(1.0, abs=1e-12)
+    assert np.sum(np.abs(a.coeffs) ** 2) * TORUS_VOLUME == pytest.approx(
+        1.0, abs=1e-12)
     # real valued: c_{-n} = conj(c_n), and negation reverses the
     # lexicographic order, so -n sits at the mirrored index
     assert np.array_equal(a.ns[::-1], -a.ns)
@@ -155,6 +157,32 @@ def _scalar_draw_wave(lam, delta, seed):
     scale = 1.0 / math.sqrt(sum(abs(c) ** 2 for c in coeffs.values())
                             * TORUS_VOLUME)
     return [(n, coeffs[n] * scale) for n in sorted(coeffs)]
+
+
+def _paired_wave(lam, delta, seed):
+    """Coefficients of a random wave built from (re, im) rows of the
+    normals, two concatenates and a rescaled copy of a first mode: the
+    reference for the one array that sample_random_wave fills."""
+    ns = annulus_lattice_points(lam, delta)
+    origin = len(ns) % 2
+    z = np.random.default_rng(seed).standard_normal(len(ns))
+    pairs = z[origin:].reshape(-1, 2) / math.sqrt(2)
+    upper = np.concatenate([z[:origin], pairs[:, 0] + 1j * pairs[:, 1]])
+    coeffs = np.concatenate([np.conj(upper[origin:][::-1]), upper])
+    wave = Eigenmode(lam, ns, coeffs)
+    norm = float(np.sum(np.abs(wave.coeffs) ** 2)) * TORUS_VOLUME
+    return replace(wave, coeffs=coeffs / math.sqrt(norm)).coeffs
+
+
+@pytest.mark.parametrize("lam", [0.5, 1.0, 5.0, 300.0, 2000.0])
+def test_random_wave_is_bit_identical_to_the_paired_construction(lam):
+    for seed in (0, 9):
+        wave = sample_random_wave(lam, 1.0, seed)
+        # with delta 1 the origin, the one unpaired point, is in the
+        # annulus up to lambda 1: K is odd there and even above
+        assert len(wave.ns) % 2 == (lam <= 1.0)
+        assert np.array_equal(wave.coeffs.view(float),
+                              _paired_wave(lam, 1.0, seed).view(float))
 
 
 @pytest.mark.parametrize("lam", [0.5, 12.0, 300.0])

@@ -344,6 +344,20 @@ def test_real_seeds_halve_the_aberth_sweeps(monkeypatch):
         assert sum(points) <= 3.5 * (len(spec.coeffs) - 1)
 
 
+def test_settled_seeds_take_no_step():
+    # a polished seed whose backward error is already at rounding level
+    # leaves Aberth as it came in, without a step or a pairwise row
+    spec = exact_restriction_spectrum(sample_random_wave(300.0, 1.0, 0),
+                                      torus_geodesic((1, 0)))
+    c, seeds = spec.coeffs, zeros._real_seeds(spec)
+    start = np.exp(1j * seeds)
+    _, backward = zeros._ratios(c, start)
+    settled = backward <= 4.0 * len(c) * zeros._EPS
+    assert settled.sum() >= 0.9 * len(seeds)
+    roots = zeros._aberth(c, seeds)
+    assert np.array_equal(roots[:len(seeds)][settled], start[settled])
+
+
 def test_conditioning_warning_reads_the_backward_residual(lam300,
                                                           monkeypatch):
     spec, zs = lam300[0]
