@@ -26,7 +26,7 @@ from .growth import (GrowthProfile, Strip, check_growth_bound,
                      l2_growth_exponent, select_window, sup_growth_exponent,
                      tempered_weyl_sum)
 from .zeros import (ZeroSet, argument_principle_count, laurent_roots,
-                    lelong_box_integral, lelong_density)
+                    lelong_count)
 from .wigner import (BandCutoff, GaussianSymbol, Interval, WignerDensity,
                      normalized_pullback, qer_matrix_element,
                      translation_invariance_stat, wigner_pairing)

@@ -86,13 +86,6 @@ class ZeroSet:
         return near / n
 
 
-def _tau_scale(spectrum, tau):
-    """sum |nu(n)| e^{-2 pi n tau / L} at each tau: the size of the terms
-    of the continuation on the line Im w = tau."""
-    moduli = replace(spectrum, coeffs=np.abs(spectrum.coeffs))
-    return continue_periodic_grid(moduli, 0.0, tau)[:, 0].real
-
-
 def _row_blocks(rows, cols):
     """Slices of `rows` rows whose (rows x cols) blocks hold at most
     _BLOCK elements."""
@@ -364,38 +357,37 @@ def laurent_roots(spectrum, tau_max):
     z = roots[kept]
     t = (L * np.angle(z) / (2.0 * math.pi)) % L
     tau = -L * np.log(np.abs(z)) / (2.0 * math.pi)
-    zs = [(complex(a, b), int(m)) for a, b, m in zip(t, tau, mults[kept])]
     _, backward = _ratios(spectrum.coeffs, z)
     warn = bool(np.max(backward, initial=0.0) > _RESIDUAL_TOL)
     # the two zeros of a conjugate pair share t only up to rounding
-    tol = 1e-9 * L
-    zs.sort(key=lambda p: (round(p[0].real / tol), p[0].imag))
+    order = np.lexsort((tau, np.round(t / (1e-9 * L))))
+    t, tau, mults = t[order], tau[order], mults[kept][order]
+    # complex(t, tau) keeps a tau of -0.0, which t + 1j * tau does not
+    zs = list(zip(map(complex, t.tolist(), tau.tolist()), mults.tolist()))
     return ZeroSet(zs, conditioning_warning=warn)
 
 
-def _boundary_values(spectrum, box, n):
-    """Continuation values counterclockwise around the box from (t0, u0).
+def _boundary(spectrum, box, n):
+    """Continuation values counterclockwise around the box from (t0, u0),
+    n steps an edge, and at each of them the size of the terms on its
+    line Im w = tau, sum |nu(n)| e^{-2 pi n tau / L}.
 
-    The top edge is evaluated ascending and read backwards, so that it
-    is period aligned whenever the bottom edge is."""
+    The rows u0 and u1 are one grid on the n + 1 points t0 .. t1 and the
+    columns t0 and t1 one grid on the n + 1 heights u0 .. u1, each period
+    aligned whenever its edges are (a full-period box reads both columns
+    from one FFT bin); the top and left edges are read backwards."""
     t0, t1, u0, u1 = box
-    ts = np.linspace(t0, t1, n, endpoint=False)
-    us = np.linspace(u0, u1, n, endpoint=False)
-    return np.concatenate([
-        continue_periodic_grid(spectrum, ts, u0)[0],
-        continue_periodic_grid(spectrum, t1, us)[:, 0],
-        continue_periodic_grid(spectrum, np.linspace(t0, t1, n + 1)[1:],
-                               u1)[0, ::-1],
-        continue_periodic_grid(spectrum, t0, np.r_[u0 + u1 - us, u0])[:, 0]])
-
-
-def _boundary_scale(spectrum, box, n):
-    """_tau_scale at each point of _boundary_values(spectrum, box, n)."""
-    t0, t1, u0, u1 = box
-    us = np.linspace(u0, u1, n, endpoint=False)
-    s = _tau_scale(spectrum, np.r_[u0, u1, us, u0 + u1 - us, u0])
-    return np.concatenate([np.full(n, s[0]), s[2:n + 2],
-                           np.full(n, s[1]), s[n + 2:]])
+    us = np.linspace(u0, u1, n + 1)
+    rows = continue_periodic_grid(spectrum, np.linspace(t0, t1, n + 1),
+                                  [u0, u1])
+    cols = continue_periodic_grid(spectrum, [t0, t1], us)
+    moduli = replace(spectrum, coeffs=np.abs(spectrum.coeffs))
+    size = continue_periodic_grid(moduli, 0.0, us)[:, 0].real
+    values = np.concatenate([rows[0, :n], cols[:n, 1], rows[1, :0:-1],
+                             cols[::-1, 0]])
+    scale = np.concatenate([np.full(n, size[0]), size[:n],
+                            np.full(n, size[n]), size[::-1]])
+    return values, scale
 
 
 def argument_principle_count(spectrum, box):
@@ -433,8 +425,8 @@ def argument_principle_count(spectrum, box):
         last = None      # the winding of the previous sampling
         near_pi = np.zeros(4, dtype=bool)   # bottom, right, top, left edge
         while True:
-            vals = _boundary_values(spectrum, box, n)
-            mags = np.abs(vals) / _boundary_scale(spectrum, box, n)
+            vals, scale = _boundary(spectrum, box, n)
+            mags = np.abs(vals) / scale
             if np.min(mags) < 1e-12 * np.max(mags):
                 raise BoundaryZero("a boundary sample lies on a zero")
             dphi = np.diff(np.angle(vals))
@@ -461,14 +453,14 @@ def argument_principle_count(spectrum, box):
     raise BoundaryZero("could not separate a zero from the box boundary")
 
 
-def lelong_density(profile):
-    """Zero-counting density from the log-modulus Laplacian.
+def lelong_count(profile, box):
+    """Zero count in [t0,t1] x [tau0,tau1] from the log-modulus Laplacian.
 
-    (1/4 pi) Laplacian of lam * v = log |f|^2 on the grid; its integral
-    over a region (cell area implied) estimates the zero count there.
-    The density is a positive measure plus discretization noise, so
+    (1/4 pi) Laplacian of lam * v = log |f|^2 on the profile's grid,
+    summed over the grid points in the box times the cell area.  The
+    density is a positive measure plus discretization noise, so
     pointwise values can dip slightly negative near zeros; the noise
-    cancels under integration (the discrete Laplacian telescopes), which
+    cancels under summation (the discrete Laplacian telescopes), which
     is why it is not clipped.  A zero lying exactly on a grid point hits
     the profile's log floor and ruins the cancellation; offset the strip
     grid when the zeros are known to sit on round coordinates.
@@ -481,14 +473,7 @@ def lelong_density(profile):
     lap[1:-1, 1:-1] = (
         (logf2[1:-1, 2:] - 2 * logf2[1:-1, 1:-1] + logf2[1:-1, :-2]) / ht ** 2
         + (logf2[2:, 1:-1] - 2 * logf2[1:-1, 1:-1] + logf2[:-2, 1:-1]) / hu ** 2)
-    return lap / (4.0 * np.pi)
-
-
-def lelong_box_integral(profile, density, box):
-    """Integrate a Lelong density over [t0,t1] x [tau0,tau1]."""
-    t = profile.strip.t_values
-    tau = profile.strip.tau_values
-    ht, hu = t[1] - t[0], tau[1] - tau[0]
+    density = lap / (4.0 * np.pi)
     t0, t1, u0, u1 = box
     mask_t = (t >= t0) & (t <= t1)
     mask_u = (tau >= u0) & (tau <= u1)

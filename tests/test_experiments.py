@@ -422,6 +422,33 @@ def test_console_script_installed():
     assert proc.returncode == 2
 
 
+def test_traced_benchmark_run_reports_its_metrics(tmp_path):
+    # perfbench's traced mode wraps the public functions and reads their
+    # arguments and results (the ZeroSet's (complex, int) pairs among
+    # them): an API change that breaks it must fail here
+    perfbench = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                             os.pardir, "perfbench")
+    cfg = {"experiment": "equidistribution", "lambdas": [20],
+           "seeds": [0, 1]}
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+    code = ("import json, sys, time\n"
+            "sys.path.insert(0, %r)\n"
+            "import tracing\n"
+            "from striplab import cli\n"
+            "tracer = tracing.Tracer()\n"
+            "tracing.install(tracer)\n"
+            "start = time.perf_counter()\n"
+            "cli.main(['run', 'cfg.json', '-o', 'out'])\n"
+            "print(json.dumps(tracing.layer_metrics(\n"
+            "    tracer, time.perf_counter() - start)))\n" % perfbench)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path,
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    metrics = json.loads(proc.stdout.splitlines()[-1])
+    assert metrics["zeros.laurent_roots.calls"][0] > 0
+
+
 @pytest.mark.parametrize("script", ["geometry_checks.py",
                                     "growth_saturation.py",
                                     "wigner_invariance.py",

@@ -17,7 +17,7 @@ from striplab.errors import (ContinuationOverflow, EmptySpectrum,
                              GridTooCoarse, OffShell, ZeroEigenvalue)
 from striplab.experiments import sine_spectrum
 from striplab.growth import _fast_length, _period_steps
-from striplab.zeros import _boundary_values
+from striplab.zeros import _boundary
 
 L = 2 * np.pi
 
@@ -70,7 +70,7 @@ def test_grid_continuation_matches_scalar():
                 point = continue_periodic_grid(spec, s, u)
                 assert point.shape == (1, 1)
                 assert point[0, 0] == pytest.approx(grid[i, j], rel=1e-12)
-        path = _boundary_values(spec, box, n)
+        path, _ = _boundary(spec, box, n)
         ref = [_fsum_continuation(spec, z) for z in boundary]
         assert path == pytest.approx(ref, rel=1e-12)
         # period-aligned grids t0 + j P / m take the FFT path

@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 from striplab import (OrbitalSpectrum, Strip, argument_principle_count,
                       exact_restriction_spectrum, growth_profile,
-                      laurent_roots, lelong_box_integral, lelong_density,
+                      laurent_roots, lelong_count,
                       sample_random_wave, torus_geodesic, zeros)
 from striplab.errors import BoundaryZero, EmptySpectrum, RootsNotConverged
 from striplab.experiments import sine_spectrum
@@ -409,14 +410,36 @@ def test_top_edge_takes_the_fft_and_matches_the_dense_sum(lam300,
         return continue_periodic_grid(spectrum, t, tau)
 
     monkeypatch.setattr(zeros, "continue_periodic_grid", record)
-    top = zeros._boundary_values(spec, box, n)[2 * n:3 * n]
-    bottom, _, top_grid, _ = grids
-    for t in (bottom, top_grid):
-        assert _period_steps(t, L, len(spec.coeffs)) == n
+    top = zeros._boundary(spec, box, n)[0][2 * n:3 * n]
+    # one grid for both rows, one for both columns, one for the scale
+    rows, _, _ = grids
+    assert _period_steps(rows, L, len(spec.coeffs)) == n
     # counterclockwise: from (t1, u1) back towards t0
     t_desc = L - np.arange(n) * (L / n)
     dense = _exp_sum(1.0, spec.freqs, spec.coeffs, t_desc, [0.2])[0]
     assert np.max(np.abs(top - dense)) <= 1e-12 * np.max(np.abs(dense))
+
+
+def test_full_period_box_has_equal_vertical_edges(lam300):
+    # t0 and t1 are one period apart, so both columns read one FFT bin
+    spec = lam300[0][0]
+    n = 1200
+    values, _ = zeros._boundary(spec, (0.0, L, -0.2, 0.2), n)
+    right, left = values[n:2 * n], values[3 * n:]
+    assert np.array_equal(right, left[::-1][:n])
+
+
+def test_boundary_scale_is_the_size_of_the_terms():
+    spec = exact_restriction_spectrum(sample_random_wave(15.0, 0.5, 2),
+                                      torus_geodesic((1, 0)))
+    box, n = (0.3, 4.1, -0.25, 0.1), 8
+    _, scale = zeros._boundary(spec, box, n)
+    us = np.linspace(box[2], box[3], n + 1)
+    heights = np.r_[np.full(n, box[2]), us[:n], np.full(n, box[3]), us[::-1]]
+    w = 2.0 * np.pi / spec.period
+    want = [math.fsum(abs(v) * math.exp(-w * k * u)
+                      for k, v in spec.entries.items()) for u in heights]
+    assert scale == pytest.approx(want, rel=1e-12)
 
 
 def test_boundary_zero_still_raises():
@@ -496,8 +519,7 @@ def test_lelong_density_recovers_sine_count():
     # edges; pi/20 is halfway between consecutive sine zeros
     eps = np.pi / 20
     prof = growth_profile(spec, Strip(eps, L + eps, 0.5, nt=1024, ntau=129))
-    dens = lelong_density(prof)
-    total = lelong_box_integral(prof, dens, (eps, L + eps, -0.5, 0.5))
+    total = lelong_count(prof, (eps, L + eps, -0.5, 0.5))
     assert total == pytest.approx(2 * n, rel=0.05)
 
 
@@ -505,6 +527,5 @@ def test_lelong_density_integrates_positively():
     mode = sample_random_wave(15.0, 0.5, 2)
     spec = exact_restriction_spectrum(mode, torus_geodesic((1, 0)))
     prof = growth_profile(spec, Strip(0.0, L, 0.3, nt=512, ntau=65))
-    dens = lelong_density(prof)
-    total = lelong_box_integral(prof, dens, (0.0, L, -0.3, 0.3))
+    total = lelong_count(prof, (0.0, L, -0.3, 0.3))
     assert total > 0.0
