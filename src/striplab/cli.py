@@ -54,7 +54,6 @@ def main(argv=None):
     except (StripLabError, OSError, json.JSONDecodeError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
-    return 2
 
 
 if __name__ == "__main__":

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -112,16 +113,8 @@ class HorizontalSection:
 
 @dataclass(frozen=True)
 class ReturnRecord:
-    time: float | None          # None marks no return inside the horizon
-    state: GeodesicState | None
-    section_coordinate: float | None
-
-    @property
-    def returned(self):
-        return self.time is not None
-
-
-NO_RETURN = ReturnRecord(None, None, None)
+    time: float                 # measured from the start of the trajectory
+    section_coordinate: float
 
 
 def _real_flow_step(surface, y, h):
@@ -129,13 +122,13 @@ def _real_flow_step(surface, y, h):
     return _rk4_segment(surface, y.astype(complex), h, 1).real
 
 
-def first_return(surface, section, start, horizon, step=0.01):
-    """First transversal return of the real geodesic flow to the section.
+def _returns(surface, section, start, horizon, step):
+    """Transversal returns of the real geodesic flow to the section.
 
-    Crossings are detected by a sign change of the (unwrapped) section
-    offset and located by bisection to a bracket under 1e-12 in time.
-    Tangential starts never cross transversally and give the no-return
-    record.
+    One trajectory is integrated from start up to the horizon, and a
+    ReturnRecord is yielded at each crossing.  Crossings are detected by
+    a sign change of the (unwrapped) section offset and located by
+    bisection to a bracket under 1e-12 in time.
     """
     if abs(section.offset(start.x)) > 1e-9:
         raise StartOffSection("start point is not on the section")
@@ -168,28 +161,16 @@ def first_return(surface, section, start, horizon, step=0.01):
             t_hit = t + 0.5 * (lo + hi)
             y_hit = _real_flow_step(surface, y_lo, 0.5 * (lo + hi) - lo)
             if t_hit > 1e-9:
-                vnorm = math.hypot(y_hit[2], y_hit[3])
-                st = GeodesicState(
-                    (y_hit[0] % TORUS_SIDE, y_hit[1] % TORUS_SIDE),
-                    (y_hit[2] / vnorm, y_hit[3] / vnorm))
-                return ReturnRecord(t_hit, st, section.coordinate(y_hit[:2]))
+                yield ReturnRecord(t_hit, section.coordinate(y_hit[:2]))
         t += h
         y, f_prev = y_next, f_next
-    return NO_RETURN
 
 
-def _return_sequence(surface, section, start, horizon, count, step):
-    records, t0, st = [], 0.0, start
-    for _ in range(count):
-        rec = first_return(surface, section, st, horizon - t0, step=step)
-        if not rec.returned:
-            break
-        t0 += rec.time
-        records.append(ReturnRecord(t0, rec.state, rec.section_coordinate))
-        st = rec.state
-        if t0 >= horizon:
-            break
-    return records
+def first_return(surface, section, start, horizon, step=0.01):
+    """First transversal return of the real geodesic flow to the section,
+    or None when there is none inside the horizon.  Tangential starts
+    never cross transversally."""
+    return next(_returns(surface, section, start, horizon, step), None)
 
 
 def reflect_state(section, state):
@@ -216,10 +197,11 @@ def asymmetry_diagnostic(surface, section, samples, horizon,
         theta = rng.uniform(0.05, math.pi - 0.05)   # keep away from tangency
         st = GeodesicState((s, section.c % TORUS_SIDE),
                            (math.cos(theta), math.sin(theta)))
-        seq = _return_sequence(surface, section, st, horizon,
-                               returns_considered, step)
-        seq_r = _return_sequence(surface, section, reflect_state(section, st),
-                                 horizon, returns_considered, step)
+        seq = list(islice(_returns(surface, section, st, horizon, step),
+                          returns_considered))
+        seq_r = list(islice(_returns(surface, section,
+                                     reflect_state(section, st), horizon, step),
+                            returns_considered))
         if not seq or not seq_r:
             no_return += 1
             continue

@@ -87,14 +87,8 @@ class WignerDensity:
     """Samples of |U|^2 on a uniform grid over I at height tau."""
 
     interval: Interval
-    tau: float
     tgrid: np.ndarray
     samples: np.ndarray
-    lam: float
-    certificate: float      # int |f|^2 over I before normalization
-
-    def integral(self):
-        return float(np.trapezoid(self.samples, self.tgrid))
 
 
 def _grid_for(interval, lam, points_per_wavelength=16):
@@ -111,11 +105,10 @@ def normalized_pullback(spectrum, tau, interval):
     tgrid = _grid_for(interval, spectrum.lam)
     f = continue_periodic_grid(spectrum, tgrid, [tau])[0]
     mag2 = np.abs(f) ** 2
-    cert = float(np.trapezoid(mag2, tgrid))
-    if cert <= 1e-30:
+    mass = float(np.trapezoid(mag2, tgrid))
+    if mass <= 1e-30:
         raise VanishingRestriction("restriction vanishes on the interval")
-    return WignerDensity(interval, tau, tgrid, mag2 / cert, spectrum.lam,
-                         cert)
+    return WignerDensity(interval, tgrid, mag2 / mass)
 
 
 def wigner_pairing(density, symbol):

@@ -1,7 +1,9 @@
 import csv
 import io
 import json
+import math
 import os
+import re
 import subprocess
 import sys
 
@@ -462,6 +464,21 @@ def test_demo_runs(script, tmp_path):
                           cwd=tmp_path, capture_output=True, text=True,
                           env=env)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_plots_of_no_data_and_of_one_point(tmp_path):
+    (tmp_path / "zeros.csv").write_text("t,tau,multiplicity\n")
+    [path] = emit_plots(str(tmp_path))
+    with open(path) as fh:
+        assert ">no data</text>" in fh.read()
+    # a single point spans nothing: the bounds widen it to a unit box
+    fig = Figure("t", "x", "y")
+    fig.scatter([1.0], [2.0])
+    svg = fig.render()
+    coords = re.findall(r'\b(?:c?[xy]|[xy][12])="([^"]*)"', svg)
+    assert len(coords) > 10
+    assert all(math.isfinite(float(c)) for c in coords)
+    assert '<circle cx="320.0" cy="220.0"' in svg
 
 
 def test_emit_plots_requires_data(tmp_path):

@@ -1,4 +1,5 @@
 import math
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from striplab import (GeodesicState, HorizontalSection, SurfaceModel,
                       integrate_complex_geodesic, reflect_state,
                       torus_geodesic)
 from striplab.errors import StartOffSection, StepTooLarge
-from striplab.geodesics import NO_RETURN
+from striplab.geodesics import _returns
 from striplab.surfaces import TORUS_SIDE
 
 FLAT = SurfaceModel()
@@ -63,12 +64,16 @@ def test_first_return_times_flat():
         start = GeodesicState((1.0, 0.0),
                               (math.cos(theta), math.sin(theta)))
         rec = first_return(FLAT, section, start, horizon=50.0, step=0.2)
-        assert rec.time == pytest.approx(TORUS_SIDE / abs(math.sin(theta)),
-                                         abs=1e-9)
+        period = TORUS_SIDE / abs(math.sin(theta))
+        assert rec.time == pytest.approx(period, abs=1e-9)
         # the section coordinate advances by the horizontal drift
         drift = (rec.time * math.cos(theta) + math.pi) % TORUS_SIDE - math.pi
         shift = (rec.section_coordinate - 1.0 + math.pi) % TORUS_SIDE - math.pi
         assert shift == pytest.approx(drift, abs=1e-8)
+        # one trajectory gives the later returns too, timed from the start
+        recs = islice(_returns(FLAT, section, start, 60.0, 0.2), 3)
+        assert [r.time for r in recs] == pytest.approx(
+            [period, 2 * period, 3 * period], abs=1e-9)
 
 
 def test_first_return_requires_start_on_section():
@@ -81,7 +86,7 @@ def test_first_return_requires_start_on_section():
 def test_no_return_for_horizontal_orbit():
     rec = first_return(FLAT, HorizontalSection(0.0),
                        GeodesicState((0.0, 0.0), (1.0, 0.0)), horizon=20.0)
-    assert rec is NO_RETURN
+    assert rec is None
 
 
 def test_reflect_state_is_involutive():

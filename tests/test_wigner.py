@@ -26,8 +26,8 @@ def _spec(seed=0, lam=40.0, q=(1, 1)):
 def test_pullback_has_unit_mass():
     spec = _spec()
     dens = normalized_pullback(spec, 0.1, Interval(0.0, spec.period))
-    assert dens.integral() == pytest.approx(1.0, abs=1e-12)
-    assert dens.certificate > 0
+    assert np.trapezoid(dens.samples, dens.tgrid) == pytest.approx(1.0,
+                                                                   abs=1e-12)
 
 
 def test_pullback_at_lambda_3000():
@@ -38,7 +38,8 @@ def test_pullback_at_lambda_3000():
     spec = _spec(0, lam)
     dens = normalized_pullback(spec, 0.5 / lam, Interval(0.0, spec.period))
     assert len(dens.tgrid) == 69121
-    assert dens.integral() == pytest.approx(1.0, abs=1e-12)
+    assert np.trapezoid(dens.samples, dens.tgrid) == pytest.approx(1.0,
+                                                                   abs=1e-12)
 
 
 def test_shipped_wigner_grids_have_5_smooth_lengths():
