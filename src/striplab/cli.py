@@ -1,8 +1,6 @@
 """`lab` command line: run, validate and plot experiments.
 
 Exit codes: 0 on pass, 1 on tolerance failure, 2 on config or IO error.
-LAB_THREADS caps cell-level parallelism (default 1; results are identical
-for any value).
 """
 
 from __future__ import annotations

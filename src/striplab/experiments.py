@@ -2,9 +2,8 @@
 
 A single JSON config names one experiment, the surface/geodesic setup,
 the eigenvalue and seed lists, strip parameters and pass/fail tolerances.
-Runs are deterministic for a fixed config regardless of the thread count
-(cells are computed independently and reduced in list order); results.json
-is byte-stable, timing goes to the manifest only.
+Runs are deterministic for a fixed config (cells are computed in list
+order); results.json is byte-stable, timing goes to the manifest only.
 """
 
 from __future__ import annotations
@@ -205,16 +204,6 @@ class ResultRecord:
     passed: bool = True
     extra_csv: dict = field(default_factory=dict)  # filename -> text
     wall_time: float | None = None                 # manifest only
-    threads: int = 1                               # manifest only
-
-
-def _threads():
-    """LAB_THREADS, the number of cell threads (default 1)."""
-    value = os.environ.get("LAB_THREADS", "1")
-    if not (value.isascii() and value.isdigit() and int(value) >= 1):
-        raise ConfigInvalid("LAB_THREADS: must be a positive integer",
-                            field="LAB_THREADS")
-    return int(value)
 
 
 def _mean_se(values):
@@ -274,18 +263,10 @@ def _csv(header, *columns):
 def _cells(cfg, rec, cell):
     """cell(lam, seed) -> (row, keep) over every (lambda, seed) pair.
 
-    Cells run on rec.threads threads and are reduced in list order, so
-    the rows land in rec.per_seed identically for any thread count; the
-    keeps are returned in the same order.
+    Cells run lambda-major in list order; the rows land in rec.per_seed
+    and the keeps are returned in that order.
     """
-    pairs = [(lam, s) for lam in cfg["lambdas"] for s in cfg["seeds"]]
-    if rec.threads == 1:
-        out = [cell(*c) for c in pairs]
-    else:
-        # imported here: a one-thread run does without concurrent.futures
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=rec.threads) as pool:
-            out = list(pool.map(lambda c: cell(*c), pairs))
+    out = [cell(lam, s) for lam in cfg["lambdas"] for s in cfg["seeds"]]
     rec.per_seed = [row for row, _ in out]
     return [keep for _, keep in out]
 
@@ -516,8 +497,7 @@ def run_experiment(config):
     # results.json keeps the hash of the config as given and the
     # tolerances, defaults included, that judged the run
     rec = ResultRecord(cfg["experiment"], config_hash(config),
-                       tolerances=cfg["tolerances"],
-                       threads=_threads())
+                       tolerances=cfg["tolerances"])
     t0 = time.monotonic()
     _RUNNERS[cfg["experiment"]](cfg, rec)
     rec.wall_time = time.monotonic() - t0
@@ -543,7 +523,6 @@ def write_results(record, outdir):
                 "version": __version__,
                 "seeds": sorted({m["seed"] for m in record.per_seed
                                  if "seed" in m}),
-                "threads": record.threads,
                 "wall_time": record.wall_time}
     with open(os.path.join(outdir, "manifest.json"), "w") as fh:
         json.dump(manifest, fh, sort_keys=True, indent=2)

@@ -22,6 +22,14 @@ import numpy as np
 from .errors import StartOffSection, StepTooLarge
 from .surfaces import TORUS_SIDE, GeodesicState
 
+# asymmetry_diagnostic: returns compared for each state, the seed of the
+# sampled states, the flow step, and how close in time and in section
+# coordinate two matching returns lie
+_RETURNS_CONSIDERED = 3
+_SAMPLE_SEED = 0
+_SAMPLE_STEP = 0.02
+_MATCH_TOL = 1e-6
+
 
 def flat_complex_geodesic(state, z):
     """gamma_{x,xi}(t + i tau) = x + (t + i tau) xi on the flat torus."""
@@ -178,30 +186,29 @@ def reflect_state(section, state):
     return GeodesicState(state.x, (state.xi[0], -state.xi[1]))
 
 
-def asymmetry_diagnostic(surface, section, samples, horizon,
-                         returns_considered=3, seed=0, step=0.02, tol=1e-6):
+def asymmetry_diagnostic(surface, section, samples, horizon):
     """Monte-Carlo measure of reflection-symmetric section states.
 
-    A state counts as symmetric when, for some of its first few returns,
+    A state counts as symmetric when, for some of its first three returns,
     the reflected state returns to the same section coordinate at the same
-    time (both within tol).  1.0 means fully symmetric; straight sections
+    time (both within 1e-6).  1.0 means fully symmetric; straight sections
     on the flat torus are.  States with no return inside the horizon are
     excluded and reported separately.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_SAMPLE_SEED)
     symmetric = tested = no_return = 0
     for _ in range(samples):
         s = rng.uniform(0.0, TORUS_SIDE)
         theta = rng.uniform(0.05, math.pi - 0.05)   # keep away from tangency
         st = GeodesicState((s, section.c % TORUS_SIDE),
                            (math.cos(theta), math.sin(theta)))
-        seq = list(islice(_returns(surface, section, st, horizon, step),
-                          returns_considered))
+        seq = list(islice(_returns(surface, section, st, horizon,
+                                   _SAMPLE_STEP), _RETURNS_CONSIDERED))
         seq_r = list(islice(_returns(surface, section,
-                                     reflect_state(section, st), horizon, step),
-                            returns_considered))
+                                     reflect_state(section, st), horizon,
+                                     _SAMPLE_STEP), _RETURNS_CONSIDERED))
         if not seq or not seq_r:
             no_return += 1
             continue
@@ -211,10 +218,10 @@ def asymmetry_diagnostic(surface, section, samples, horizon,
             for b in seq_r:
                 ds = abs((a.section_coordinate - b.section_coordinate
                           + math.pi) % TORUS_SIDE - math.pi)
-                if abs(a.time - b.time) <= tol and ds <= tol:
+                if abs(a.time - b.time) <= _MATCH_TOL and ds <= _MATCH_TOL:
                     match = True
         if match:
             symmetric += 1
     estimate = symmetric / tested if tested else 0.0
     return {"estimate": estimate, "tested": tested, "no_return": no_return,
-            "tolerance": tol}
+            "tolerance": _MATCH_TOL}

@@ -20,6 +20,10 @@ from .growth import _fast_length, continue_periodic_grid
 from .surfaces import TORUS_VOLUME
 
 COSPHERE_VOLUME = 2.0 * np.pi * TORUS_VOLUME     # vol(S*M) of the flat torus
+# slack of Interval.contains at either end
+_CONTAINS_TOL = 1e-9
+# least grid points a wavelength 2 pi / lam of a Wigner density
+_POINTS_PER_WAVELENGTH = 16
 
 
 @dataclass(frozen=True)
@@ -35,8 +39,8 @@ class Interval:
     def mid(self):
         return 0.5 * (self.lo + self.hi)
 
-    def contains(self, lo, hi, tol=1e-9):
-        return self.lo - tol <= lo and hi <= self.hi + tol
+    def contains(self, lo, hi):
+        return self.lo - _CONTAINS_TOL <= lo and hi <= self.hi + _CONTAINS_TOL
 
 
 @dataclass(frozen=True)
@@ -91,11 +95,11 @@ class WignerDensity:
     samples: np.ndarray
 
 
-def _grid_for(interval, lam, points_per_wavelength=16):
+def _grid_for(interval, lam):
     """Closed grid of n + 1 points on the interval: n is the least
     5-smooth integer (a fast FFT length) that is at least 256 and gives
-    points_per_wavelength points a wavelength 2 pi / lam."""
-    n = max(256, int(points_per_wavelength * lam * interval.length
+    _POINTS_PER_WAVELENGTH points a wavelength 2 pi / lam."""
+    n = max(256, int(_POINTS_PER_WAVELENGTH * lam * interval.length
                      / (2.0 * np.pi)))
     return np.linspace(interval.lo, interval.hi, _fast_length(n) + 1)
 

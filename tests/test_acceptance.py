@@ -6,15 +6,18 @@ ensembles are session fixtures so the whole gate stays within its runtime
 budgets.
 """
 
+import json
 import math
 import os
+import subprocess
+import sys
 import time
 
 import numpy as np
 import pytest
 
 import striplab as sl
-from striplab.experiments import run_experiment, sine_spectrum, write_results
+from striplab.experiments import run_experiment, sine_spectrum
 from striplab.fourier import RestrictionSamples
 
 L = 2 * np.pi
@@ -254,20 +257,25 @@ def test_criterion_12_weyl_sum_scaling():
 
 
 def test_criterion_13_determinism(tmp_path):
+    # two fresh processes with different string hashing: an output that
+    # depends on the iteration order of a set of strings differs there
     cfg = {"experiment": "band-mass", "lambdas": [40, 60], "seeds": [0, 1],
            "surface": {"kind": "RandomWaveTorus", "delta": 1.0},
            "tolerances": {"band_abs": 0.3, "top_band_min": 0.0}}
+    path = tmp_path / "band.json"
+    path.write_text(json.dumps(cfg))
     blobs = []
-    for threads in ("1", "8"):
-        os.environ["LAB_THREADS"] = threads
-        try:
-            out = write_results(run_experiment(cfg),
-                                str(tmp_path / ("t" + threads)))
-        finally:
-            os.environ.pop("LAB_THREADS", None)
-        with open(os.path.join(out, "results.json"), "rb") as fh:
-            blobs.append(fh.read())
-    ok = blobs[0] == blobs[1]
-    _report(13, "thread-count determinism", ok,
-            "results.json identical across LAB_THREADS in {1, 8}: %s"
-            % ok)
+    for hashseed in ("0", "1"):
+        out = tmp_path / ("h" + hashseed)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path),
+                   PYTHONHASHSEED=hashseed)
+        proc = subprocess.run([sys.executable, "-m", "striplab.cli", "run",
+                               str(path), "-o", str(out)],
+                              env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        names = sorted(set(os.listdir(out)) - {"manifest.json"})
+        blobs.append({n: (out / n).read_bytes() for n in names})
+    ok = "results.json" in blobs[0] and blobs[0] == blobs[1]
+    _report(13, "cross-process determinism", ok,
+            "%s identical across PYTHONHASHSEED in {0, 1}: %s"
+            % (", ".join(sorted(blobs[0])), ok))

@@ -7,8 +7,7 @@ that no expression in the file reads.  Checks that each exception class
 of errors.py is raised somewhere in the package.  Runs the README's
 library quick start, so that a renamed or removed API fails here, not
 in a reader's hands.  Checks in a fresh process that importing the CLI
-loads neither csv, which no module uses, nor concurrent.futures, which
-only a run on more than one thread needs.
+loads neither csv nor concurrent.futures, which no module uses.
 """
 
 import ast
