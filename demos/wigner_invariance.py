@@ -17,8 +17,7 @@ import striplab as sl
 spec1 = sl.OrbitalSpectrum(40.0, 2 * np.pi, {40: 0.3 + 0.4j})
 iv = sl.Interval(0.0, 2 * np.pi)
 gap, _ = sl.translation_invariance_stat(
-    sl.normalized_pullback(spec1, 0.1, iv),
-    sl.GaussianSymbol(iv.mid - 0.25, 0.5), 0.5)
+    spec1, 0.1, iv, sl.GaussianSymbol(iv.mid - 0.25, 0.5), 0.5)
 print("single frequency: gap = %.2e (exactly invariant)" % gap)
 
 # ensemble decay along the diagonal geodesic (period 2 pi sqrt 2 leaves

@@ -356,23 +356,23 @@ def _run_wigner(cfg, rec):
     # height only ~1/tau orbital frequencies survive the damping so the
     # gap stalls instead of decaying with lam
     interval, a = _wigner_symbol(cfg)
-    first = cfg["seeds"][0]
+    plotted = (cfg["lambdas"][-1], cfg["seeds"][0])   # wigner.csv's cell
 
     def cell(lam, seed):
         spec = _spectrum_for(cfg, lam, seed)
-        dens = normalized_pullback(spec, cfg["tau_scale"] / lam, interval)
-        gap, deriv = translation_invariance_stat(dens, a, cfg["shift"])
+        gap, deriv = translation_invariance_stat(
+            spec, cfg["tau_scale"] / lam, interval, a, cfg["shift"])
         return {"lambda": lam, "seed": seed, "gap": gap,
                 "derivative_pairing": deriv}, \
-            (dens if seed == first else None)
+            (spec if (lam, seed) == plotted else None)
 
     kept = _cells(cfg, rec, cell)
     means, gaps, decreasing = _lambda_trend(rec.per_seed, "gap")
     rec.aggregate = {"mean_gap_by_lambda":
                      {str(k): v for k, v in means.items()}}
     rec.passed = gaps[-1] <= cfg["tolerances"]["final_gap"] and decreasing
-    # density of the last lambda's first seed for plotting
-    dens = kept[-len(cfg["seeds"])]
+    dens = normalized_pullback(kept[-len(cfg["seeds"])],
+                               cfg["tau_scale"] / plotted[0], interval)
     rec.extra_csv["wigner.csv"] = _csv("t,density", dens.tgrid, dens.samples)
 
 

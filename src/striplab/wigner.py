@@ -1,20 +1,31 @@
 """Wigner densities of normalized pullbacks and QER statistics.
 
 |U|^2 is the squared modulus of the continued restriction on a horizontal
-strip line, normalized to unit mass on an interval.  Its pairings with
+strip line, normalized to unit mass over one period.  Its pairings with
 multiplication symbols become translation invariant in the high-frequency
 limit; the matrix elements of frequency cutoffs chi(D / lam) are compared
 with the microlocal limit measure (1 - sigma^2)^{-1/2} ds dsigma.
+
+The pairings are computed from the spectrum by Parseval.  With
+g_n = nu(n) e^{-w n tau + i w n t0}, w = 2 pi / L and N coefficients,
+|U(t0 + x)|^2 = sum_{|d| < N} C(d) e^{i w d x} is band limited, with
+C(d) = sum_n g_n conj(g_{n-d}).  So the trapezoid sum of s |U|^2 on the
+period grid t_j = t0 + j L / m of _grid_for is sum_d C(d) S_s(d) exactly,
+where S_s(d) = sum_j w_j s(t_j) e^{2 pi i d j / m} is the symbol's DFT,
+built once per lambda, and the trapezoid mass is L C(0).  C is one real
+FFT of |U|^2 on a period grid of 2N - 1 or more points.  The sampled
+density, normalized_pullback, is kept for plots.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SupportLeak, VanishingRestriction
+from .errors import GridTooCoarse, SupportLeak, VanishingRestriction
 from .fourier import band_mass
 from .growth import _fast_length, continue_periodic_grid
 from .surfaces import TORUS_VOLUME
@@ -90,7 +101,6 @@ class BandCutoff:
 class WignerDensity:
     """Samples of |U|^2 on a uniform grid over I at height tau."""
 
-    interval: Interval
     tgrid: np.ndarray
     samples: np.ndarray
 
@@ -112,33 +122,80 @@ def normalized_pullback(spectrum, tau, interval):
     mass = float(np.trapezoid(mag2, tgrid))
     if mass <= 1e-30:
         raise VanishingRestriction("restriction vanishes on the interval")
-    return WignerDensity(interval, tgrid, mag2 / mass)
+    return WignerDensity(tgrid, mag2 / mass)
 
 
-def wigner_pairing(density, symbol):
-    """int a(t) |U|^2 dt for a multiplication symbol supported in I."""
-    lo, hi = symbol.support
-    if not density.interval.contains(lo, hi):
-        raise SupportLeak("symbol support [%g, %g] leaves the interval"
-                          % (lo, hi))
-    return float(np.trapezoid(symbol(density.tgrid) * density.samples,
-                              density.tgrid))
+@functools.lru_cache(maxsize=1)
+def _symbol_weights(interval, lam, symbol, shift=None):
+    """Rows S_s(d) = sum_j w_j s(t_j) e^{2 pi i d j / m} for 0 <= d <= m / 2,
+    with w_j the trapezoid weights of the m + 1 point grid t_j of
+    _grid_for: one row, s = a, without a shift, else the two of the
+    invariance statistic, s = a(t - shift) - a(t) and s = a'.  The gap's
+    symbol is sampled as one difference, so its pairing does not cancel
+    two O(1) pairings.  Each row is one real FFT of the real samples;
+    growth._exp_sum would fold complex rows of 2m points, which raised a
+    wigner run's peak RSS by 0.5 MB.  Read-only; the last call
+    is memoised, so the cells of one lambda, which run lambda by lambda,
+    share one set."""
+    t = _grid_for(interval, lam)
+    m = len(t) - 1
+    samples = ([symbol(t)] if shift is None else
+               [symbol.shifted(shift)(t) - symbol(t), symbol.derivative(t)])
+    rows = np.empty((len(samples), m // 2 + 1), dtype=complex)
+    for row, s in zip(rows, samples):
+        # w_j s(t_j) with the endpoint j = m folded onto j = 0
+        s[0] = 0.5 * (s[0] + s[-1])
+        row[:] = np.fft.rfft(s[:-1]).conj() * (interval.length / m)
+    rows.flags.writeable = False
+    return rows
 
 
-def translation_invariance_stat(density, symbol, shift):
+def _pairings(spectrum, tau, interval, symbol, shift=None):
+    """Trapezoid sums of s |U|^2 over the trapezoid mass of |U|^2 on the
+    grid of _grid_for, for each row s of _symbol_weights, by Parseval."""
+    if abs(interval.length - spectrum.period) > _CONTAINS_TOL:
+        raise ValueError("the interval [%g, %g] is not one period %g long"
+                         % (interval.lo, interval.hi, spectrum.period))
+    for s in (symbol,) if shift is None else (symbol.shifted(shift), symbol):
+        lo, hi = s.support
+        if not interval.contains(lo, hi):
+            raise SupportLeak("symbol support [%g, %g] leaves the interval"
+                              % (lo, hi))
+    weights = _symbol_weights(interval, spectrum.lam, symbol, shift)
+    n = len(spectrum.coeffs)
+    if n > weights.shape[1]:
+        raise GridTooCoarse("|U|^2 has frequencies past the Nyquist "
+                            "frequency of the Wigner grid")
+    k = _fast_length(2 * n - 1)
+    t = interval.lo + np.arange(k) * (spectrum.period / k)
+    mag2 = np.abs(continue_periodic_grid(spectrum, t, [tau])[0]) ** 2
+    corr = np.fft.rfft(mag2)[:n] / k                  # C(d), 0 <= d < n
+    mass = spectrum.period * corr[0].real
+    if mass <= 1e-30:
+        raise VanishingRestriction("restriction vanishes on the interval")
+    # C(-d) S_s(-d) = conj(C(d) S_s(d)) for real s
+    corr[0] *= 0.5
+    return (weights[:, :n] * corr).sum(axis=1).real * (2.0 / mass)
+
+
+def wigner_pairing(spectrum, tau, interval, symbol):
+    """int a(t) |U|^2 dt at height tau for a multiplication symbol
+    supported in the interval, which is one period; |U|^2 has unit mass
+    there."""
+    return float(_pairings(spectrum, tau, interval, symbol)[0])
+
+
+def translation_invariance_stat(spectrum, tau, interval, symbol, shift):
     """Translation-invariance defect of the Wigner pairing.
 
-    Returns (gap, derivative_pairing) for a normalized density: the gap
-    is |int (a(t - s) - a(t)) |U|^2 dt| and the derivative pairing is
+    Returns (gap, derivative_pairing) for |U|^2 of unit mass over the
+    interval, one period, at height tau: the gap is
+    |int (a(t - s) - a(t)) |U|^2 dt| and the derivative pairing is
     |int a'(t) |U|^2 dt|, the s -> 0+ rate; both vanish for constant
     |U|^2 and decay along high-frequency families.
     """
-    shifted = symbol.shifted(shift)
-    gap = abs(wigner_pairing(density, shifted)
-              - wigner_pairing(density, symbol))
-    deriv = abs(float(np.trapezoid(symbol.derivative(density.tgrid)
-                                   * density.samples, density.tgrid)))
-    return gap, deriv
+    gap, deriv = _pairings(spectrum, tau, interval, symbol, shift)
+    return float(abs(gap)), float(abs(deriv))
 
 
 def qer_matrix_element(spectrum, chi):

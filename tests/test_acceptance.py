@@ -183,8 +183,7 @@ def test_criterion_08_wigner_translation_invariance():
     spec = sl.OrbitalSpectrum(30.0, L, {30: 0.7 - 0.2j})
     interval = sl.Interval(0.0, L)
     gap0, _ = sl.translation_invariance_stat(
-        sl.normalized_pullback(spec, 0.1, interval),
-        sl.GaussianSymbol(interval.mid - 0.25, 0.5), 0.5)
+        spec, 0.1, interval, sl.GaussianSymbol(interval.mid - 0.25, 0.5), 0.5)
     ok = rec.passed and gap0 < 1e-13
     _report(8, "Wigner translation invariance", ok,
             "mean gaps %s; single-frequency gap=%.1e"

@@ -4,15 +4,18 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from striplab import (BandCutoff, GaussianSymbol, Interval,
                       OrbitalSpectrum, normalized_pullback,
-                      qer_matrix_element, sample_random_wave,
-                      torus_geodesic, translation_invariance_stat,
-                      wigner_pairing)
-from striplab.errors import SupportLeak, VanishingRestriction
+                      qer_matrix_element, run_experiment,
+                      sample_random_wave, torus_geodesic,
+                      translation_invariance_stat, wigner_pairing)
+from striplab import experiments
+from striplab.errors import GridTooCoarse, SupportLeak, VanishingRestriction
 from striplab.fourier import exact_restriction_spectrum
-from striplab.wigner import _grid_for
+from striplab.wigner import _grid_for, _symbol_weights
 from test_fourier import _periodic_samples
 
 L = 2 * np.pi
@@ -42,11 +45,15 @@ def test_pullback_at_lambda_3000():
                                                                    abs=1e-12)
 
 
-def test_shipped_wigner_grids_have_5_smooth_lengths():
+def _shipped_wigner():
     path = os.path.join(os.path.dirname(__file__), os.pardir, "demos",
                         "configs", "wigner.json")
     with open(path) as fh:
-        cfg = json.load(fh)
+        return json.load(fh)
+
+
+def test_shipped_wigner_grids_have_5_smooth_lengths():
+    cfg = _shipped_wigner()
     interval = Interval(0.0, torus_geodesic(cfg["geodesic"]["q"]).period)
     # 16 points a wavelength give 2262, 4525 and 9050 steps
     assert [len(_grid_for(interval, lam)) for lam in cfg["lambdas"]] == [
@@ -55,8 +62,13 @@ def test_shipped_wigner_grids_have_5_smooth_lengths():
 
 def test_vanishing_restriction_raises():
     spec = OrbitalSpectrum(5.0, L, {3: 0.0 + 1e-17j})
+    interval = Interval(0.0, L)
     with pytest.raises(VanishingRestriction):
-        normalized_pullback(spec, 0.0, Interval(0.0, L))
+        normalized_pullback(spec, 0.0, interval)
+    with pytest.raises(VanishingRestriction):
+        translation_invariance_stat(spec, 0.0, interval,
+                                    GaussianSymbol(interval.mid - 0.25, 0.5),
+                                    0.5)
 
 
 def test_single_frequency_gap_is_zero():
@@ -64,8 +76,7 @@ def test_single_frequency_gap_is_zero():
     spec = OrbitalSpectrum(30.0, L, {30: 0.7 - 0.2j})
     interval = Interval(0.0, L)
     a = GaussianSymbol(center=interval.mid - 0.25, width=0.5)
-    dens = normalized_pullback(spec, 0.1, interval)
-    gap, deriv = translation_invariance_stat(dens, a, 0.5)
+    gap, deriv = translation_invariance_stat(spec, 0.1, interval, a, 0.5)
     assert gap < 1e-13
     # the derivative pairing only vanishes up to the symbol's boundary tail
     assert deriv < 1e-6
@@ -76,8 +87,117 @@ def test_support_leak_detected():
     interval = Interval(0.0, spec.period)
     wide = GaussianSymbol(center=interval.mid, width=2.0)
     with pytest.raises(SupportLeak):
-        translation_invariance_stat(normalized_pullback(spec, 0.1, interval),
-                                    wide, 0.5)
+        translation_invariance_stat(spec, 0.1, interval, wide, 0.5)
+    with pytest.raises(SupportLeak):
+        wigner_pairing(spec, 0.1, interval, wide)
+
+
+def _trapezoid(dens, f):
+    """The grid oracle: int f(t) |U|^2 dt by np.trapezoid on the samples
+    of normalized_pullback."""
+    return float(np.trapezoid(f(dens.tgrid) * dens.samples, dens.tgrid))
+
+
+@st.composite
+def _wigner_cases(draw, single=False):
+    """(spectrum, tau, interval, symbol, shift): a real or complex
+    spectrum inside the band |n| <= lam |q| of a period 2 pi |q|, a
+    height in [0, 2 / lam] and a Gaussian symbol whose support and
+    shifted support lie in the interval.  With single=True the spectrum
+    is one frequency and the symbol and its shift straddle the midpoint,
+    as the wigner runner places them, so that their trapezoid sums are
+    one sum read in reverse."""
+    lam = draw(st.floats(20.0, 400.0))
+    period = draw(st.sampled_from([L, L * math.sqrt(2.0)]))
+    band = int(lam * period / L)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if single:
+        n = np.array([draw(st.integers(-band, band))])
+    elif draw(st.booleans()):
+        top = draw(st.integers(0, band))
+        n = np.arange(-top, top + 1)
+    else:
+        lo = draw(st.integers(-band, band))
+        n = np.arange(lo, draw(st.integers(lo, band)) + 1)
+    nu = rng.normal(size=len(n)) + 1j * rng.normal(size=len(n))
+    if not single and n[0] == -n[-1]:
+        nu = 0.5 * (nu + np.conj(nu[::-1]))      # nu(-n) = conj(nu(n))
+    spec = OrbitalSpectrum(lam, period, dict(zip(n.tolist(), nu)))
+    t0 = draw(st.floats(-3.0, 3.0))
+    interval = Interval(t0, t0 + period)
+    width = draw(st.floats(0.1, 0.8))
+    shift = draw(st.floats(0.0, 1.0))
+    if single:
+        center = interval.mid - shift / 2.0
+    else:
+        room = period - 6.0 * width - shift
+        center = t0 + 3.0 * width + draw(st.floats(0.0, 1.0)) * room
+    tau = draw(st.floats(0.0, 2.0 / lam))
+    return spec, tau, interval, GaussianSymbol(center, width), shift
+
+
+@given(_wigner_cases())
+@settings(max_examples=60, deadline=None)
+def test_pairings_match_the_trapezoid_oracle(case):
+    # the oracle's gap is a difference of two O(1) trapezoid sums, whose
+    # rounding is a few 1e-16, so small gaps are compared to 1e-14
+    spec, tau, interval, a, shift = case
+    dens = normalized_pullback(spec, tau, interval)
+    gap, deriv = translation_invariance_stat(spec, tau, interval, a, shift)
+    assert wigner_pairing(spec, tau, interval, a) == pytest.approx(
+        _trapezoid(dens, a), rel=1e-12, abs=1e-14)
+    assert gap == pytest.approx(
+        abs(_trapezoid(dens, a.shifted(shift)) - _trapezoid(dens, a)),
+        rel=1e-12, abs=1e-14)
+    assert deriv == pytest.approx(abs(_trapezoid(dens, a.derivative)),
+                                  rel=1e-12, abs=1e-14)
+
+
+@given(_wigner_cases(single=True))
+@settings(max_examples=30, deadline=None)
+def test_single_frequency_gaps_vanish(case):
+    assert translation_invariance_stat(*case)[0] < 1e-13
+
+
+def test_pairings_need_one_period():
+    spec = _spec()
+    a = GaussianSymbol(center=2.0, width=0.3)
+    for interval in (Interval(0.0, spec.period / 2),
+                     Interval(0.0, 2 * spec.period)):
+        with pytest.raises(ValueError):
+            translation_invariance_stat(spec, 0.1, interval, a, 0.5)
+        with pytest.raises(ValueError):
+            wigner_pairing(spec, 0.1, interval, a)
+    # one period from any start is accepted
+    shifted = Interval(1.0, 1.0 + spec.period)
+    assert 0.0 < wigner_pairing(spec, 0.1, shifted, a) < 1.0
+
+
+def test_pairings_past_the_grid_nyquist_raise():
+    # the grid of lambda 1 has its floor of 256 steps a period: |U|^2 of
+    # frequencies 0..200 reaches d = 200 > 128
+    spec = OrbitalSpectrum(1.0, L, {0: 1.0, 200: 1.0})
+    interval = Interval(0.0, L)
+    with pytest.raises(GridTooCoarse):
+        wigner_pairing(spec, 0.0, interval,
+                       GaussianSymbol(interval.mid, 0.5))
+
+
+def test_shipped_wigner_run_pairs_by_weights_built_once_a_lambda(
+        monkeypatch):
+    cfg = _shipped_wigner()
+    pullbacks = []
+
+    def pullback(*args):
+        pullbacks.append(args)
+        return normalized_pullback(*args)
+
+    monkeypatch.setattr(experiments, "normalized_pullback", pullback)
+    _symbol_weights.cache_clear()
+    run_experiment(cfg)
+    assert _symbol_weights.cache_info().misses == len(cfg["lambdas"]) == 3
+    # only the density wigner.csv writes is sampled
+    assert len(pullbacks) == 1
 
 
 def test_moving_pullback_full_period_identity():
@@ -111,7 +231,6 @@ def test_qer_band_ratio_reference():
 def test_wigner_pairing_constant_symbol_scale():
     spec = _spec(seed=2)
     interval = Interval(0.0, spec.period)
-    dens = normalized_pullback(spec, 0.05, interval)
     narrow = GaussianSymbol(center=interval.mid, width=0.8)
-    val = wigner_pairing(dens, narrow)
+    val = wigner_pairing(spec, 0.05, interval, narrow)
     assert 0.0 < val < 1.0
