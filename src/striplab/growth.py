@@ -74,7 +74,8 @@ def continue_periodic_grid(spectrum, t, tau):
     are folded by n mod m, which is exact for every m because
     e^{2 pi i n j / m} depends only on n mod m, and point j reads bin
     j mod m, so the closed endpoint and grids past one period need
-    nothing extra.  Every other grid takes the dense branch of _exp_sum.
+    nothing extra (see _fft_rows).  Every other grid takes the dense
+    branch of _exp_sum.
     """
     if not len(spectrum.coeffs):
         raise EmptySpectrum("spectrum has no entries")
@@ -94,20 +95,22 @@ def _exp_sum(w, freqs, coeffs, t, tau, m=None, n_min=0):
     else dense column blocks; each block stays under 64 MB."""
     out = np.empty((len(tau), len(t)), dtype=complex)
     # a tau row costs its damping and, while that is built, its real
-    # exponent (24 B a term); on the FFT path also its folded,
-    # transformed and gathered rows
+    # exponent (24 B a term); on the FFT path also its folded and
+    # transformed rows, and its gathered rows past one period
     row_bytes = 24 * len(freqs)
     if m is not None:
         row_bytes += 16 * (len(freqs) + 2 * m + len(t))
-        phase = np.exp(1j * w * freqs * t[0])
+        # e^0 = 1 exactly, so a grid from t0 = 0 needs no phase
+        phase = np.exp(1j * w * freqs * t[0]) if t[0] else None
     else:
         step = max(1, _DENSE_BLOCK_BYTES // (16 * len(freqs)))
     rows = max(1, _DENSE_BLOCK_BYTES // row_bytes)
     for i in range(0, len(tau), rows):
         damp = np.exp(-w * np.outer(tau[i:i + rows], freqs)) * coeffs
         if m is not None:
-            damp *= phase
-            out[i:i + rows] = _fft_rows(damp, n_min, m, len(t))
+            if phase is not None:
+                damp *= phase
+            _fft_rows(damp, n_min, m, out[i:i + rows])
         else:
             for j in range(0, len(t), step):
                 # exponentiated in place, and freed before the next one
@@ -123,7 +126,10 @@ def _exp_sum(w, freqs, coeffs, t, tau, m=None, n_min=0):
 def _period_steps(t, period, nterms):
     """m when t = t0 + j period / m for an integer m and one inverse FFT
     of length m costs no more than the nterms x len(t) dense kernel;
-    None otherwise.  Points may sit a few ulps off the ideal grid."""
+    None otherwise.  Points may sit up to 8 ulps of max(|t0|, |t[-1]|,
+    period) off the ideal grid.  The test runs on every call of
+    continue_periodic_grid, so its offsets are built in one array, in
+    place."""
     if t.ndim != 1 or len(t) < 2:
         return None
     step = (t[-1] - t[0]) / (len(t) - 1)
@@ -134,9 +140,13 @@ def _period_steps(t, period, nterms):
     m = max(1, round(period / step))
     if m * max(1.0, math.log2(m)) > cost:
         return None
-    ideal = t[0] + np.arange(len(t)) * (period / m)
+    # the offsets from the ideal grid t0 + j period / m, built in place
+    dev = np.arange(len(t), dtype=float)
+    dev *= period / m
+    dev += t[0]
+    dev -= t
     tol = 8.0 * np.finfo(float).eps * max(abs(t[0]), abs(t[-1]), period)
-    return m if np.max(np.abs(t - ideal)) <= tol else None
+    return m if np.abs(dev, out=dev).max() <= tol else None
 
 
 def _fast_length(n):
@@ -156,14 +166,25 @@ def _fast_length(n):
     return best
 
 
-def _fft_rows(coeffs, n_min, m, nt):
-    """Rows of sum_k coeffs[:, k] e^{2 pi i (n_min + k) j / m}, j < nt."""
+def _fft_rows(coeffs, n_min, m, out):
+    """Rows sum_k coeffs[:, k] e^{2 pi i (n_min + k) j / m} into out[:, j].
+
+    Point j reads bin j mod m, so up to one period of points is a slice
+    of the transform, the closed endpoint j = m copies column 0, and only
+    a grid past that gathers; the scale by m is written straight to out."""
     ntau, nterms = coeffs.shape
+    nt = out.shape[1]
     lead = n_min % m                   # n_min - lead is a multiple of m
     folded = np.zeros((ntau, -(-(lead + nterms) // m) * m), dtype=complex)
     folded[:, lead:lead + nterms] = coeffs
     folded = folded.reshape(ntau, -1, m).sum(axis=1)
-    return (np.fft.ifft(folded, axis=1) * m)[:, np.arange(nt) % m]
+    rows = np.fft.ifft(folded, axis=1)
+    if nt > m + 1:
+        rows = rows[:, np.arange(nt) % m]
+    head = min(nt, rows.shape[1])
+    np.multiply(rows[:, :head], m, out=out[:, :head])
+    if head < nt:
+        out[:, m] = out[:, 0]
 
 
 def continue_windowed(spectrum, t, tau):

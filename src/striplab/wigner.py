@@ -13,8 +13,9 @@ C(d) = sum_n g_n conj(g_{n-d}).  So the trapezoid sum of s |U|^2 on the
 period grid t_j = t0 + j L / m of _grid_for is sum_d C(d) S_s(d) exactly,
 where S_s(d) = sum_j w_j s(t_j) e^{2 pi i d j / m} is the symbol's DFT,
 built once per lambda, and the trapezoid mass is L C(0).  C is one real
-FFT of |U|^2 on a period grid of 2N - 1 or more points.  The sampled
-density, normalized_pullback, is kept for plots.
+FFT of |U|^2 on a period grid of 2N - 1 or more points.  Those samples
+determine the band-limited |U|^2, so normalized_pullback, the density
+that is plotted, takes the same grid, closed, over one period.
 """
 
 from __future__ import annotations
@@ -114,11 +115,33 @@ def _grid_for(interval, lam):
     return np.linspace(interval.lo, interval.hi, _fast_length(n) + 1)
 
 
+def _period_grid(spectrum, interval):
+    """The closed grid t_j = lo + j L / k, 0 <= j <= k, on an interval one
+    period L long, with k = _fast_length(2N - 1) for N coefficients.
+    |U|^2 has frequencies |d| < N, which stay apart mod k, so its samples
+    at the first k points determine it; the last point repeats the first.
+    The grid is period aligned: continue_periodic_grid takes one inverse
+    FFT of length k."""
+    k = _fast_length(2 * len(spectrum.coeffs) - 1)
+    return interval.lo + np.arange(k + 1) * (spectrum.period / k)
+
+
+def _is_period(spectrum, interval):
+    return abs(interval.length - spectrum.period) <= _CONTAINS_TOL
+
+
 def normalized_pullback(spectrum, tau, interval):
-    """|U|^2 on the interval at height tau, unit trapezoidal mass."""
-    tgrid = _grid_for(interval, spectrum.lam)
-    f = continue_periodic_grid(spectrum, tgrid, [tau])[0]
-    mag2 = np.abs(f) ** 2
+    """|U|^2 on the interval at height tau, unit trapezoidal mass.
+
+    An interval one period long takes _period_grid, the grid the pairings
+    sample: the fewest points that determine the band-limited |U|^2, so
+    their trigonometric interpolant is |U|^2 itself.  Any other interval
+    has no such grid and takes _grid_for's _POINTS_PER_WAVELENGTH points
+    a wavelength."""
+    tgrid = (_period_grid(spectrum, interval)
+             if _is_period(spectrum, interval)
+             else _grid_for(interval, spectrum.lam))
+    mag2 = np.abs(continue_periodic_grid(spectrum, tgrid, [tau])[0]) ** 2
     mass = float(np.trapezoid(mag2, tgrid))
     if mass <= 1e-30:
         raise VanishingRestriction("restriction vanishes on the interval")
@@ -153,7 +176,7 @@ def _symbol_weights(interval, lam, symbol, shift=None):
 def _pairings(spectrum, tau, interval, symbol, shift=None):
     """Trapezoid sums of s |U|^2 over the trapezoid mass of |U|^2 on the
     grid of _grid_for, for each row s of _symbol_weights, by Parseval."""
-    if abs(interval.length - spectrum.period) > _CONTAINS_TOL:
+    if not _is_period(spectrum, interval):
         raise ValueError("the interval [%g, %g] is not one period %g long"
                          % (interval.lo, interval.hi, spectrum.period))
     for s in (symbol,) if shift is None else (symbol.shifted(shift), symbol):
@@ -166,10 +189,9 @@ def _pairings(spectrum, tau, interval, symbol, shift=None):
     if n > weights.shape[1]:
         raise GridTooCoarse("|U|^2 has frequencies past the Nyquist "
                             "frequency of the Wigner grid")
-    k = _fast_length(2 * n - 1)
-    t = interval.lo + np.arange(k) * (spectrum.period / k)
+    t = _period_grid(spectrum, interval)[:-1]
     mag2 = np.abs(continue_periodic_grid(spectrum, t, [tau])[0]) ** 2
-    corr = np.fft.rfft(mag2)[:n] / k                  # C(d), 0 <= d < n
+    corr = np.fft.rfft(mag2)[:n] / len(t)             # C(d), 0 <= d < n
     mass = spectrum.period * corr[0].real
     if mass <= 1e-30:
         raise VanishingRestriction("restriction vanishes on the interval")

@@ -1,3 +1,4 @@
+import io
 import json
 import math
 import os
@@ -12,10 +13,11 @@ from striplab import (BandCutoff, GaussianSymbol, Interval,
                       qer_matrix_element, run_experiment,
                       sample_random_wave, torus_geodesic,
                       translation_invariance_stat, wigner_pairing)
-from striplab import experiments
+from striplab import experiments, wigner
 from striplab.errors import GridTooCoarse, SupportLeak, VanishingRestriction
 from striplab.fourier import exact_restriction_spectrum
-from striplab.wigner import _grid_for, _symbol_weights
+from striplab.growth import _fast_length, continue_periodic_grid
+from striplab.wigner import WignerDensity, _grid_for, _symbol_weights
 from test_fourier import _periodic_samples
 
 L = 2 * np.pi
@@ -34,13 +36,18 @@ def test_pullback_has_unit_mass():
 
 
 def test_pullback_at_lambda_3000():
-    # the wigner grid is period aligned, so its 69121 points cost one FFT
-    # instead of an 8489 x 69121 dense kernel; 16 points a wavelength ask
-    # for 67882 = 2 33941, raised to 69120 = 2^9 3^3 5, a fast FFT length
+    # both wigner grids are period aligned, so each costs one FFT instead
+    # of a dense kernel over its 8489 terms.  The weights' grid asks for
+    # 16 points a wavelength, 67882 = 2 33941, raised to 69120 = 2^9 3^3 5,
+    # a fast FFT length; the density's asks for 2N - 1 = 16977 points,
+    # raised to 17280 = 2^7 3^3 5
     lam = 3000.0
     spec = _spec(0, lam)
-    dens = normalized_pullback(spec, 0.5 / lam, Interval(0.0, spec.period))
-    assert len(dens.tgrid) == 69121
+    interval = Interval(0.0, spec.period)
+    assert len(spec.coeffs) == 8489
+    assert len(_grid_for(interval, lam)) == 69121
+    dens = normalized_pullback(spec, 0.5 / lam, interval)
+    assert len(dens.tgrid) == 17281
     assert np.trapezoid(dens.samples, dens.tgrid) == pytest.approx(1.0,
                                                                    abs=1e-12)
 
@@ -92,10 +99,35 @@ def test_support_leak_detected():
         wigner_pairing(spec, 0.1, interval, wide)
 
 
+def _grid_density(spec, tau, interval):
+    """|U|^2 on _grid_for's grid over its own trapezoid mass: the grid of
+    the pairings' symbol weights, 16 points a wavelength."""
+    t = _grid_for(interval, spec.lam)
+    mag2 = np.abs(continue_periodic_grid(spec, t, [tau])[0]) ** 2
+    return WignerDensity(t, mag2 / np.trapezoid(mag2, t))
+
+
 def _trapezoid(dens, f):
     """The grid oracle: int f(t) |U|^2 dt by np.trapezoid on the samples
-    of normalized_pullback."""
+    of _grid_density."""
     return float(np.trapezoid(f(dens.tgrid) * dens.samples, dens.tgrid))
+
+
+def _assert_exact_period_density(dens, spec, tau, interval):
+    """dens has the k + 1 points of the closed period grid, k =
+    _fast_length(2N - 1), unit trapezoid mass, and its trigonometric
+    interpolant, zero padded onto _grid_for's m steps, is _grid_density
+    to 1e-12 of its sup."""
+    k = _fast_length(2 * len(spec.coeffs) - 1)
+    assert len(dens.tgrid) == len(dens.samples) == k + 1
+    assert dens.tgrid[0] == interval.lo
+    assert np.trapezoid(dens.samples, dens.tgrid) == pytest.approx(
+        1.0, abs=1e-12)
+    fine = _grid_density(spec, tau, interval)
+    m = len(fine.tgrid) - 1
+    interp = np.fft.irfft(np.fft.rfft(dens.samples[:-1]), n=m) * (m / k)
+    sup = np.max(fine.samples)
+    assert np.max(np.abs(interp - fine.samples[:-1])) <= 1e-12 * sup
 
 
 @st.composite
@@ -142,7 +174,7 @@ def test_pairings_match_the_trapezoid_oracle(case):
     # the oracle's gap is a difference of two O(1) trapezoid sums, whose
     # rounding is a few 1e-16, so small gaps are compared to 1e-14
     spec, tau, interval, a, shift = case
-    dens = normalized_pullback(spec, tau, interval)
+    dens = _grid_density(spec, tau, interval)
     gap, deriv = translation_invariance_stat(spec, tau, interval, a, shift)
     assert wigner_pairing(spec, tau, interval, a) == pytest.approx(
         _trapezoid(dens, a), rel=1e-12, abs=1e-14)
@@ -151,6 +183,21 @@ def test_pairings_match_the_trapezoid_oracle(case):
         rel=1e-12, abs=1e-14)
     assert deriv == pytest.approx(abs(_trapezoid(dens, a.derivative)),
                                   rel=1e-12, abs=1e-14)
+
+
+@given(_wigner_cases())
+@settings(max_examples=30, deadline=None)
+def test_one_period_pullback_is_the_exact_period_density(case):
+    spec, tau, interval = case[:3]
+    _assert_exact_period_density(normalized_pullback(spec, tau, interval),
+                                 spec, tau, interval)
+
+
+def test_half_period_pullback_keeps_the_wavelength_grid():
+    spec = _spec(seed=3)
+    interval = Interval(1.0, 1.0 + spec.period / 2)
+    dens = normalized_pullback(spec, 0.1, interval)
+    assert np.array_equal(dens.tgrid, _grid_for(interval, spec.lam))
 
 
 @given(_wigner_cases(single=True))
@@ -186,18 +233,42 @@ def test_pairings_past_the_grid_nyquist_raise():
 def test_shipped_wigner_run_pairs_by_weights_built_once_a_lambda(
         monkeypatch):
     cfg = _shipped_wigner()
-    pullbacks = []
+    pullbacks, grids = [], []
 
     def pullback(*args):
-        pullbacks.append(args)
-        return normalized_pullback(*args)
+        pullbacks.append(normalized_pullback(*args))
+        return pullbacks[-1]
+
+    def continuation(spec, t, tau):
+        grids.append((len(spec.coeffs), len(t)))
+        return continue_periodic_grid(spec, t, tau)
 
     monkeypatch.setattr(experiments, "normalized_pullback", pullback)
+    monkeypatch.setattr(wigner, "continue_periodic_grid", continuation)
     _symbol_weights.cache_clear()
     run_experiment(cfg)
     assert _symbol_weights.cache_info().misses == len(cfg["lambdas"]) == 3
-    # only the density wigner.csv writes is sampled
+    # only the density wigner.csv writes is sampled, on the period grid
+    # of lambda 400, not the 9217 points of _grid_for
     assert len(pullbacks) == 1
+    assert len(pullbacks[0].tgrid) == 2305
+    # one continuation a cell and one for that density, each on its
+    # spectrum's period grid
+    assert len(grids) == 3 * len(cfg["seeds"]) + 1
+    assert all(nt - _fast_length(2 * n - 1) in (0, 1) for n, nt in grids)
+
+
+def test_shipped_wigner_csv_is_the_exact_period_density():
+    cfg = experiments.validate_config(_shipped_wigner())
+    lam, seed = cfg["lambdas"][-1], cfg["seeds"][0]
+    rows = np.loadtxt(io.StringIO(
+        run_experiment(cfg).extra_csv["wigner.csv"]), delimiter=",",
+        skiprows=1)
+    interval, _ = experiments._wigner_symbol(cfg)
+    _assert_exact_period_density(
+        WignerDensity(rows[:, 0], rows[:, 1]),
+        experiments._spectrum_for(cfg, lam, seed), cfg["tau_scale"] / lam,
+        interval)
 
 
 def test_moving_pullback_full_period_identity():
