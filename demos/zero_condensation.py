@@ -16,7 +16,7 @@ from striplab.svgplot import Figure
 N = 25
 zs = sl.laurent_roots(sine_spectrum(N), tau_max=0.5)
 print("sin(%dt): %d zeros (expected %d), max |tau| = %.2e"
-      % (N, zs.count(), 2 * N, max(abs(z.imag) for z, _ in zs.zeros)))
+      % (N, zs.count(), 2 * N, np.max(np.abs(zs.tau))))
 
 # -- a random wave at increasing eigenvalue ---------------------------------
 state = sl.torus_geodesic((1, 0))
@@ -30,9 +30,7 @@ for lam, seed in [(60.0, 1), (240.0, 1)]:
     print("lambda=%4.0f: %3d zeros, pairing %.3f vs reference 2, "
           "near-axis fraction %.2f"
           % (lam, zset.count(), pairing, zset.real_axis_fraction(0.05)))
-    fig.scatter([z.real for z, _ in zset.zeros],
-                [z.imag for z, _ in zset.zeros],
-                label="lambda=%g" % lam)
+    fig.scatter(zset.t, zset.tau, label="lambda=%g" % lam)
 fig.hline(0.0, label="real axis")
 
 with open("zero_condensation.svg", "w") as fh:

@@ -69,7 +69,6 @@ _TEXT = ("a string", lambda v: isinstance(v, str))
 _KINDS = {
     "experiment": _TEXT, "output_dir": _TEXT,
     "near_axis_min": _FRACTION, "top_band_min": _FRACTION,
-    "top_band_eps": _FRACTION,
     "samples": ("a positive integer", lambda v: _int(v) and v > 0),
     "seeds": ("a nonempty list of nonnegative integers",
               _list_of(lambda s: _int(s) and s >= 0)),
@@ -102,7 +101,7 @@ SCHEMA = {
         "tolerances": {"pairing_rel": 0.1, "near_axis_min": 0.8}},
     "growth": {**_WAVE, "strip": {"tau_max": 0.3},
                "tolerances": {"saturation": 0.05}},
-    "band-mass": {**_WAVE, "band": [0.5, 1.0], "top_band_eps": 0.2,
+    "band-mass": {**_WAVE, "band": [0.5, 1.0],
                   "tolerances": {"band_abs": 0.05, "top_band_min": 0.1}},
     "wigner": {**_WAVE, "tau_scale": 0.5, "shift": 0.5, "symbol_width": 1.0,
                "tolerances": {"final_gap": 0.1}},
@@ -115,6 +114,8 @@ SCHEMA = {
                            "tolerances": {}},
 }
 EXPERIMENTS = tuple(SCHEMA)
+# band-mass's top_ratio: the mass share of 1 - eps <= |sigma| <= 1
+_TOP_BAND_EPS = 0.2
 
 
 def _need(cond, fieldpath, msg):
@@ -285,10 +286,10 @@ def _run_equidistribution(cfg, rec):
                 "reference": ref, "near_axis_fraction":
                     zs.real_axis_fraction(cfg["near_axis_tol"])}, zs
 
-    zeros = [p for zs in _cells(cfg, rec, cell) for p in zs.zeros]
-    z = np.array([z for z, _ in zeros], dtype=complex)
-    rec.extra_csv["zeros.csv"] = _csv("t,tau,multiplicity", z.real, z.imag,
-                                      [m for _, m in zeros])
+    cols = zip(*((zs.t, zs.tau, zs.multiplicity)
+                 for zs in _cells(cfg, rec, cell)))
+    rec.extra_csv["zeros.csv"] = _csv("t,tau,multiplicity",
+                                      *map(np.concatenate, cols))
 
     mean_pair, se = _mean_se([m["pairing"] for m in rec.per_seed])
     mean_frac, _ = _mean_se([m["near_axis_fraction"] for m in rec.per_seed])
@@ -329,15 +330,15 @@ def _run_growth(cfg, rec):
 
 
 def _run_band_mass(cfg, rec):
-    band, top_eps = cfg["band"], cfg["top_band_eps"]
+    band = cfg["band"]
 
     def cell(lam, seed):
         spec = _spectrum_for(cfg, lam, seed)
         total = spec.total_mass()
+        top = band_mass(spec, 1.0 - _TOP_BAND_EPS, 1.0)
         return {"lambda": lam, "seed": seed,
                 "band_ratio": band_mass(spec, band[0], band[1]) / total,
-                "top_ratio": band_mass(spec, 1.0 - top_eps, 1.0) / total}, \
-            None
+                "top_ratio": top / total}, None
 
     _cells(cfg, rec, cell)
     mean_ratio, se = _mean_se([m["band_ratio"] for m in rec.per_seed])

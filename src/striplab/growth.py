@@ -8,6 +8,7 @@ orbital spectrum carries mass at the extreme frequencies +-lam.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -149,6 +150,7 @@ def _period_steps(t, period, nterms):
     return m if np.abs(dev, out=dev).max() <= tol else None
 
 
+@functools.lru_cache
 def _fast_length(n):
     """The least integer >= n >= 1 with no prime factor above 5, the
     point count of a period-aligned grid: numpy's FFT runs a generic pass

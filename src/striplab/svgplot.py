@@ -11,13 +11,13 @@ MARGIN = 60
 PALETTE = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b"]
 
 
-def _ticks(lo, hi, n=5):
+def _ticks(lo, hi):
     if hi <= lo:
         hi = lo + 1.0
     span = hi - lo
-    step = 10.0 ** math.floor(math.log10(span / n))
+    step = 10.0 ** math.floor(math.log10(span / 5))
     for mult in (1, 2, 5, 10):
-        if span / (step * mult) <= n:
+        if span / (step * mult) <= 5:
             step *= mult
             break
     first = math.ceil(lo / step) * step
@@ -40,14 +40,14 @@ class Figure:
         self.series.append((kind, np.asarray(xs, dtype=float),
                             np.asarray(ys, dtype=float), label, color))
 
-    def line(self, xs, ys, label=None, color=None):
-        self._add("line", xs, ys, label, color)
+    def line(self, xs, ys, label=None):
+        self._add("line", xs, ys, label, None)
 
-    def scatter(self, xs, ys, label=None, color=None):
-        self._add("scatter", xs, ys, label, color)
+    def scatter(self, xs, ys, label=None):
+        self._add("scatter", xs, ys, label, None)
 
-    def hline(self, y, label=None, color="#888888"):
-        self._add("hline", [], [y], label, color)
+    def hline(self, y, label=None):
+        self._add("hline", [], [y], label, "#888888")
 
     def _bounds(self):
         xs = np.concatenate([sx for _, sx, _, _, _ in self.series] or [[]])

@@ -58,12 +58,22 @@ _AP_DOUBLINGS = 12
 _AP_PAD_STEPS = 4
 
 
-@dataclass
+@dataclass(eq=False)
 class ZeroSet:
-    """Zeros t + i tau of a continued restriction in one period cell."""
+    """Zeros t + i tau of a continued restriction in one period cell and
+    their multiplicities, as arrays sorted by t and then tau."""
 
-    zeros: list                # (complex t + i tau, multiplicity)
+    t: np.ndarray
+    tau: np.ndarray
+    multiplicity: np.ndarray
     conditioning_warning: bool = False
+
+    @property
+    def zeros(self):
+        """(complex(t, tau), multiplicity) pairs of Python numbers, which
+        JSON takes; complex(t, tau) keeps a tau of -0.0."""
+        return list(zip(map(complex, self.t.tolist(), self.tau.tolist()),
+                        self.multiplicity.tolist()))
 
     def count(self, box=None):
         """Total multiplicity, optionally inside [t0,t1] x [tau0,tau1].
@@ -71,19 +81,19 @@ class ZeroSet:
         The box is closed; one with t0 > t1 or tau0 > tau1 holds no
         point and raises ValueError rather than count 0."""
         if box is None:
-            return sum(m for _, m in self.zeros)
+            return int(self.multiplicity.sum())
         t0, t1, u0, u1 = box
         if t0 > t1 or u0 > u1:
             raise ValueError("box %s needs t0 <= t1 and u0 <= u1" % (box,))
-        return sum(m for z, m in self.zeros
-                   if t0 <= z.real <= t1 and u0 <= z.imag <= u1)
+        inside = ((t0 <= self.t) & (self.t <= t1)
+                  & (u0 <= self.tau) & (self.tau <= u1))
+        return int(self.multiplicity[inside].sum())
 
     def real_axis_fraction(self, tol):
         n = self.count()
         if n == 0:
             return 0.0
-        near = sum(m for z, m in self.zeros if abs(z.imag) <= tol)
-        return near / n
+        return int(self.multiplicity[np.abs(self.tau) <= tol].sum()) / n
 
 
 def _row_blocks(rows, cols):
@@ -361,10 +371,7 @@ def laurent_roots(spectrum, tau_max):
     warn = bool(np.max(backward, initial=0.0) > _RESIDUAL_TOL)
     # the two zeros of a conjugate pair share t only up to rounding
     order = np.lexsort((tau, np.round(t / (1e-9 * L))))
-    t, tau, mults = t[order], tau[order], mults[kept][order]
-    # complex(t, tau) keeps a tau of -0.0, which t + 1j * tau does not
-    zs = list(zip(map(complex, t.tolist(), tau.tolist()), mults.tolist()))
-    return ZeroSet(zs, conditioning_warning=warn)
+    return ZeroSet(t[order], tau[order], mults[kept][order], warn)
 
 
 def _boundary(spectrum, box, n):

@@ -53,6 +53,8 @@ def test_validate_config_field_paths(tmp_path):
              (dict(growth, tolerancse={"saturation": 1.0}), "tolerancse"),
              (dict(SMALL_BAND, tolerances={"band_ab": 0.3}),
               "tolerances.band_ab"),
+             # the top band's width is a constant, not a config key
+             (dict(SMALL_BAND, top_band_eps=0.2), "top_band_eps"),
              (dict(sine, lambdas=[10.5]), "lambdas"),
              (dict(sine, surface={"kind": "Sine", "delta": 1.0}),
               "surface.delta"),

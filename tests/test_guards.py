@@ -3,6 +3,7 @@ early return for an empty or inverted input is reached once."""
 
 import math
 
+import numpy as np
 import pytest
 
 from striplab import (BandCutoff, GeodesicState, HorizontalSection,
@@ -43,7 +44,9 @@ CASES = {
         lambda: GeodesicState((0.0, 0.0), (1.0, 0.0), math.pi, (1, 0)),
         ValueError),
     "empty-band": (lambda: BandCutoff(0.6, 0.5).limit_integral(), 0.0),
-    "no-zeros": (lambda: ZeroSet([]).real_axis_fraction(0.1), 0.0),
+    "no-zeros": (lambda: ZeroSet(np.empty(0), np.empty(0),
+                                 np.empty(0, dtype=int)
+                                 ).real_axis_fraction(0.1), 0.0),
 }
 
 

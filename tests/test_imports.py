@@ -1,13 +1,16 @@
-"""Every name a module imports is used in it, every exception is raised,
-the README still runs, and the CLI starts without modules it does not use.
+"""Every name a module imports is used in it, every private helper is
+read, every exception is raised, the README still runs, and the CLI
+starts without modules it does not use.
 
 Parses each .py file of the package (except __init__.py, whose imports
 are its exports), the tests and the demos, and lists the imported names
-that no expression in the file reads.  Checks that each exception class
-of errors.py is raised somewhere in the package.  Runs the README's
-library quick start, so that a renamed or removed API fails here, not
-in a reader's hands.  Checks in a fresh process that importing the CLI
-loads neither csv nor concurrent.futures, which no module uses.
+that no expression in the file reads.  Lists the module-level private
+names of the package that no package module reads.  Checks that each
+exception class of errors.py is raised somewhere in the package.  Runs
+the README's library quick start, so that a renamed or removed API
+fails here, not in a reader's hands.  Checks in a fresh process that
+importing the CLI loads neither csv nor concurrent.futures, which no
+module uses.
 """
 
 import ast
@@ -57,6 +60,55 @@ def test_no_unused_imports(path):
         unused = unused_imports(fh.read())
     assert not unused, "%s imports but never uses %s" % (
         path, ", ".join("%s (line %d)" % (n, l) for l, n in unused))
+
+
+def unread_privates(sources):
+    """(path, line, name) of each module-level private name bound in
+    the sources, a dict path -> text, that no expression of any of them
+    reads."""
+    trees = {path: ast.parse(text) for path, text in sources.items()}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    unread = []
+    for path, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = (node.targets if isinstance(node, ast.Assign)
+                           else [node.target])
+                names = [n.id for t in targets for n in ast.walk(t)
+                         if isinstance(n, ast.Name)]
+            else:
+                continue
+            unread += [(path, node.lineno, name) for name in names
+                       if name.startswith("_") and not name.startswith("__")
+                       and name not in read]
+    return sorted(unread)
+
+
+def test_unread_privates_detected():
+    src = ("_A, _B = 1, 2\n_C: int = 3\ndef _f():\n    return _A\n"
+           "class _K:\n    pass\n__all__ = []\n")
+    assert unread_privates({"a.py": src, "b.py": "import a\na._f()\n"}) == [
+        ("a.py", 1, "_B"), ("a.py", 2, "_C"), ("a.py", 5, "_K")]
+
+
+def test_every_private_name_is_read():
+    pkg = os.path.join(ROOT, "src/striplab")
+    sources = {}
+    for name in sorted(os.listdir(pkg)):
+        if name.endswith(".py"):
+            with open(os.path.join(pkg, name)) as fh:
+                sources[name] = fh.read()
+    unread = unread_privates(sources)
+    assert not unread, "never read: %s" % ", ".join(
+        "%s:%d %s" % row for row in unread)
 
 
 def test_every_exception_is_raised():

@@ -2,6 +2,7 @@ import io
 import json
 import math
 import os
+import sys
 
 import numpy as np
 import pytest
@@ -248,14 +249,40 @@ def test_shipped_wigner_run_pairs_by_weights_built_once_a_lambda(
     _symbol_weights.cache_clear()
     run_experiment(cfg)
     assert _symbol_weights.cache_info().misses == len(cfg["lambdas"]) == 3
-    # only the density wigner.csv writes is sampled, on the period grid
-    # of lambda 400, not the 9217 points of _grid_for
+    # the runner pulls back only the density wigner.csv writes, on the
+    # period grid of lambda 400, not the 9217 points of _grid_for
     assert len(pullbacks) == 1
     assert len(pullbacks[0].tgrid) == 2305
-    # one continuation a cell and one for that density, each on its
-    # spectrum's period grid
+    # one continuation for each cell's pairings and one for that
+    # density, each on its spectrum's period grid
     assert len(grids) == 3 * len(cfg["seeds"]) + 1
     assert all(nt - _fast_length(2 * n - 1) in (0, 1) for n, nt in grids)
+
+
+def test_shipped_wigner_run_continues_only_in_normalized_pullback(
+        monkeypatch):
+    # the pairings read the density normalized_pullback returns, so
+    # every continuation of a wigner run is made there
+    cfg = _shipped_wigner()
+    pullbacks, callers = [], []
+
+    def pullback(*args):
+        pullbacks.append(args)
+        return normalized_pullback(*args)
+
+    def continuation(*args):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return continue_periodic_grid(*args)
+
+    monkeypatch.setattr(wigner, "normalized_pullback", pullback)
+    monkeypatch.setattr(wigner, "continue_periodic_grid", continuation)
+    _symbol_weights.cache_clear()
+    _fast_length.cache_clear()
+    run_experiment(cfg)
+    assert len(pullbacks) == 3 * len(cfg["seeds"])
+    assert callers == ["normalized_pullback"] * (3 * len(cfg["seeds"]) + 1)
+    # three weight grids and three period grids, one a lambda
+    assert _fast_length.cache_info().misses == 6
 
 
 def test_shipped_wigner_csv_is_the_exact_period_density():

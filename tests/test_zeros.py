@@ -1,3 +1,4 @@
+import json
 import math
 from dataclasses import replace
 
@@ -39,19 +40,43 @@ def _assert_same_roots(got, want, tol):
     assert np.max(err, initial=0.0) <= tol
 
 
+def _rows(zs):
+    """The zeros of a ZeroSet as (t, tau, multiplicity) rows."""
+    return np.c_[zs.t, zs.tau, zs.multiplicity]
+
+
+def _random_spectrum(seed):
+    """Complex coefficients on -n_max..n_max, 3 <= n_max < 20."""
+    rng = np.random.default_rng(seed)
+    n_max = int(rng.integers(3, 20))
+    entries = {n: complex(*rng.standard_normal(2))
+               for n in range(-n_max, n_max + 1)}
+    return OrbitalSpectrum(float(n_max), L, entries)
+
+
+def _real_spectrum(seed):
+    """nu(-n) = conj(nu(n)) on -top..top, 1 <= top < 40: real on the axis."""
+    rng = np.random.default_rng(seed)
+    top = int(rng.integers(1, 40))
+    half = rng.standard_normal(top + 1) + 1j * rng.standard_normal(top + 1)
+    half[0] = half[0].real
+    return OrbitalSpectrum(float(top), L, n_min=-top,
+                           coeffs=np.r_[np.conj(half[:0:-1]), half])
+
+
 def test_sine_zeros_exact():
     n = 6
     zs = laurent_roots(sine_spectrum(n), tau_max=0.5)
     assert zs.count() == 2 * n
-    assert all(abs(z.imag) < 1e-10 for z, _ in zs.zeros)
-    got = sorted(z.real for z, _ in zs.zeros)
-    assert got == pytest.approx([k * np.pi / n for k in range(2 * n)],
-                                abs=1e-10)
+    assert np.max(np.abs(zs.tau)) < 1e-10
+    assert np.sort(zs.t) == pytest.approx(np.pi / n * np.arange(2 * n),
+                                          abs=1e-10)
     # the continuation is entire: a strip of any height holds only the
     # real zeros of sin(5 t)
     wide = laurent_roots(sine_spectrum(5), tau_max=3.0)
     assert wide.count() == 10
-    assert all(abs(z.imag) < 1e-10 and m == 1 for z, m in wide.zeros)
+    assert np.max(np.abs(wide.tau)) < 1e-10
+    assert np.all(wide.multiplicity == 1)
 
 
 def test_laurent_roots_rejects_a_negative_height():
@@ -66,9 +91,8 @@ def test_zeros_are_actual_zeros():
     zs = laurent_roots(spec, tau_max=0.3)
     scale = np.max(np.abs(continue_periodic_grid(spec, np.linspace(0, L, 64),
                                                  0.0)))
-    for z, _ in zs.zeros:
-        assert abs(continue_periodic_grid(spec, z.real, z.imag)[0, 0]) \
-            < 1e-8 * scale
+    for t, tau in zip(zs.t, zs.tau):
+        assert abs(continue_periodic_grid(spec, t, tau)[0, 0]) < 1e-8 * scale
 
 
 def test_zero_rows_keep_their_order_under_rounding():
@@ -77,9 +101,7 @@ def test_zero_rows_keep_their_order_under_rounding():
     spec = exact_restriction_spectrum(sample_random_wave(30.0, 1.0, 0),
                                       torus_geodesic((1, 0)))
     scaled = replace(spec, coeffs=spec.coeffs * (1 + 1e-13))
-    rows = [np.array([(z.real, z.imag, m)
-                      for z, m in laurent_roots(s, tau_max=0.3).zeros])
-            for s in (spec, scaled)]
+    rows = [_rows(laurent_roots(s, tau_max=0.3)) for s in (spec, scaled)]
     assert rows[0].shape == rows[1].shape
     assert np.max(np.abs(rows[0] - rows[1])) < 1e-12
 
@@ -88,7 +110,7 @@ def test_real_restriction_zeros_conjugate_symmetric():
     mode = sample_random_wave(25.0, 1.0, 8)
     spec = exact_restriction_spectrum(mode, torus_geodesic((1, 0)))
     zs = laurent_roots(spec, tau_max=0.3)
-    pts = sorted((round(z.real, 7), round(z.imag, 7)) for z, _ in zs.zeros)
+    pts = sorted(zip(np.round(zs.t, 7).tolist(), np.round(zs.tau, 7).tolist()))
     mirrored = sorted((t, -u) for t, u in pts)
     assert pts == mirrored
 
@@ -162,7 +184,7 @@ def test_aberth_keeps_the_companion_roots_at_lambda_300(lam300):
     roots = np.roots(spec.coeffs[::-1])
     kept = roots[np.abs(np.log(np.abs(roots))) <= 0.2 + 1e-9]
     w = (np.angle(kept) % (2 * np.pi)) - 1j * np.log(np.abs(kept))
-    got = np.array([z for z, _ in zs.zeros])
+    got = zs.t + 1j * zs.tau
     # compare across the seam t = 0 = L
     got = np.where(got.real > L - 1e-6, got - L, got)
     w = np.where(w.real > L - 1e-6, w - L, w)
@@ -192,19 +214,17 @@ def test_multiplicity_from_aberth_iterates():
     # sin(t)^2 cos(3t): double zeros at 0 and pi, six simple ones
     nu = {-5: -1 / 8, -3: 1 / 4, -1: -1 / 8, 1: -1 / 8, 3: 1 / 4, 5: -1 / 8}
     zs = laurent_roots(OrbitalSpectrum(5.0, L, nu), tau_max=0.3)
-    assert len(zs.zeros) == 8 and zs.count() == 10
-    for z, m in zs.zeros:
-        seam = abs((z.real + L / 2) % L - L / 2)    # distance to t = 0
-        double = seam < 1e-7 or abs(z - np.pi) < 1e-7
-        assert m == (2 if double else 1)
-    assert sorted(m for _, m in zs.zeros)[-2:] == [2, 2]
+    assert len(zs.t) == 8 and zs.count() == 10
+    seam = np.abs((zs.t + L / 2) % L - L / 2)       # distance to t = 0
+    double = (seam < 1e-7) | (np.abs(zs.t + 1j * zs.tau - np.pi) < 1e-7)
+    assert np.array_equal(zs.multiplicity, np.where(double, 2, 1))
+    assert np.sort(zs.multiplicity)[-2:].tolist() == [2, 2]
     # two simple zeros 1e-6 apart stay two rows
     a, b = np.exp(1j), np.exp(1j * (1 + 1e-6))
     zs = laurent_roots(OrbitalSpectrum(1.0, L, {-1: a * b, 0: -(a + b),
                                                 1: 1.0}), tau_max=0.3)
-    assert [m for _, m in zs.zeros] == [1, 1]
-    assert [z.real for z, _ in zs.zeros] == pytest.approx([1, 1 + 1e-6],
-                                                          abs=1e-9)
+    assert zs.multiplicity.tolist() == [1, 1]
+    assert zs.t.tolist() == pytest.approx([1, 1 + 1e-6], abs=1e-9)
     # the iterates of a triple zero settle eps^(1/3) apart, never within
     # 1e-15 |z| steps: they stop at rounding-level backward error, and
     # the count holds even where the rows split
@@ -278,13 +298,7 @@ def _assert_same_rows(got, want, tol):
 @settings(max_examples=30, deadline=None)
 @given(seed=st.integers(0, 10 ** 6))
 def test_real_seeds_leave_the_roots_in_place(seed):
-    rng = np.random.default_rng(seed)
-    top = int(rng.integers(1, 40))
-    half = rng.standard_normal(top + 1) + 1j * rng.standard_normal(top + 1)
-    half[0] = half[0].real
-    spec = OrbitalSpectrum(float(top), L, n_min=-top,
-                           coeffs=np.r_[np.conj(half[:0:-1]), half])
-    (seeded, blind), _ = _seeded_and_blind(spec)
+    (seeded, blind), _ = _seeded_and_blind(_real_spectrum(seed))
     _assert_same_rows(seeded, blind, 1e-12)
 
 
@@ -383,7 +397,7 @@ def test_laurent_roots_makes_one_grid_call(lam300, monkeypatch):
 
     monkeypatch.setattr(zeros, "continue_periodic_grid", counting)
     spec, zs = lam300[0]
-    assert laurent_roots(spec, tau_max=0.2).zeros == zs.zeros
+    assert np.array_equal(_rows(laurent_roots(spec, tau_max=0.2)), _rows(zs))
     (called, t, tau), = calls
     m = len(t)
     assert called is spec and tau == 0.0
@@ -474,6 +488,38 @@ def test_argument_principle_rejects_a_reversed_box():
             argument_principle_count(spec, box)
 
 
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 10 ** 6), real=st.booleans())
+def test_counts_are_sums_over_the_zero_pairs(seed, real):
+    # the masked sums over the arrays count what the (complex, int)
+    # pairs of the view hold: the zeros are one set in two forms
+    zs = laurent_roots((_real_spectrum if real else _random_spectrum)(seed),
+                       tau_max=0.25)
+    pairs = zs.zeros
+    assert len(zs.t) == len(zs.tau) == len(zs.multiplicity) == len(pairs)
+    total = sum(m for _, m in pairs)
+    assert zs.count() == total
+    for t0, t1, u0, u1 in [(0.1, 5.9, -0.2, 0.2), (0.0, L, -0.25, 0.25),
+                           (1.0, 2.5, 0.0, 0.1), (3.0, 3.0, -0.25, 0.25)]:
+        assert zs.count((t0, t1, u0, u1)) == sum(
+            m for z, m in pairs if t0 <= z.real <= t1 and u0 <= z.imag <= u1)
+    for tol in (0.0, 1e-12, 0.05):
+        near = sum(m for z, m in pairs if abs(z.imag) <= tol)
+        assert zs.real_axis_fraction(tol) == (near / total if total else 0.0)
+
+
+def test_zero_pairs_are_python_numbers():
+    # the tracer dumps sums over the view to JSON, which takes no numpy
+    # integer; complex(t, tau) keeps the sign of a tau of -0.0
+    pairs = laurent_roots(_DOUBLE, tau_max=0.3).zeros
+    assert json.dumps([[z.real, z.imag, m] for z, m in pairs])
+    assert json.dumps(sum(m - 1 for _, m in pairs)) == "2"
+    zs = zeros.ZeroSet(np.array([1.0, 2.0]), np.array([-0.0, 0.1]),
+                       np.array([2, 1]))
+    assert zs.zeros == [(1.0 + 0j, 2), (2.0 + 0.1j, 1)]
+    assert math.copysign(1.0, zs.zeros[0][0].imag) == -1.0
+
+
 def test_zero_count_rejects_a_reversed_box():
     # a reversed box would hold no zero and count 0 without complaint
     zs = laurent_roots(sine_spectrum(5), 0.3)
@@ -502,11 +548,7 @@ def test_argument_principle_matches_companion():
 @given(seed=st.integers(0, 10 ** 6))
 @example(seed=2015)     # a zero 3.5e-6 inside the bottom edge
 def test_count_methods_agree_on_random_spectra(seed):
-    rng = np.random.default_rng(seed)
-    n_max = int(rng.integers(3, 20))
-    entries = {n: complex(*rng.standard_normal(2))
-               for n in range(-n_max, n_max + 1)}
-    spec = OrbitalSpectrum(float(n_max), L, entries)
+    spec = _random_spectrum(seed)
     box = (0.1, 5.9, -0.2, 0.2)
     zs = laurent_roots(spec, tau_max=0.25)
     assert argument_principle_count(spec, box) == zs.count(box)
