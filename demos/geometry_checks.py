@@ -19,9 +19,9 @@ for key, value in rec.aggregate.items():
 print("geometry checks %s" % ("pass" if rec.passed else "FAIL"))
 
 # -- the asymmetry diagnostic -----------------------------------------------
-# straight sections on the flat torus are reflection symmetric, so the
-# Monte-Carlo symmetric fraction should be (close to) 1
-flat, section = sl.SurfaceModel(), sl.HorizontalSection(0.0)
-report = sl.asymmetry_diagnostic(flat, section, samples=30, horizon=40.0)
+# horizontal sections of the flat torus are reflection symmetric, so the
+# Monte-Carlo symmetric fraction is 1
+report = sl.asymmetry_diagnostic(sl.HorizontalSection(0.0), samples=30,
+                                 horizon=40.0)
 print("flat-torus reflection symmetry: %.2f of %d tested states match"
       % (report["estimate"], report["tested"]))

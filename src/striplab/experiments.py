@@ -401,7 +401,6 @@ def _run_geometry(cfg, rec):
     seed = cfg["seeds"][0]
     rng = np.random.default_rng(seed)
     tau_max = cfg["strip"]["tau_max"]
-    flat = SurfaceModel()
 
     worst_iso = 0.0
     for _ in range(cfg["samples"]):
@@ -424,7 +423,7 @@ def _run_geometry(cfg, rec):
     worst_ret = 0.0
     for theta in (np.pi / 2, np.pi / 6, 2.0):
         st = GeodesicState((1.0, 0.0), (math.cos(theta), math.sin(theta)))
-        recd = first_return(flat, section, st, horizon=30.0, step=0.2)
+        recd = first_return(section, st, horizon=30.0)
         worst_ret = max(worst_ret,
                         abs(recd.time - TORUS_SIDE / abs(math.sin(theta))))
 

@@ -3,19 +3,20 @@
 Strip points t + i tau are plain Python complex numbers; complexified
 surface points are length-2 complex arrays with real parts understood
 mod 2 pi.  On the flat torus the complexified geodesic is the closed form
-x + (t + i tau) xi and the tube function is |Im zeta|.  On conformally
-perturbed tori the complex-time flow is obtained by integrating the
-complexified geodesic ODE along a path in complex time; holomorphy makes
-the endpoint path independent, which is what the tests check.  The
-conformal factors are trigonometric sums, hence entire, so a path may
-take any height; the step error estimate is the one guard.
+x + (t + i tau) xi, the tube function is |Im zeta|, and the returns of
+the real flow to a horizontal section are closed form too.  Only the
+complex-time flow on conformally perturbed tori is integrated (RK4 along
+a path in complex time); holomorphy makes the endpoint path independent,
+which is what the tests check.  The conformal factors are trigonometric
+sums, hence entire, so a path may take any height; the step error
+estimate is the one guard.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import islice
+from itertools import count, islice
 
 import numpy as np
 
@@ -23,11 +24,10 @@ from .errors import StartOffSection, StepTooLarge
 from .surfaces import TORUS_SIDE, GeodesicState
 
 # asymmetry_diagnostic: returns compared for each state, the seed of the
-# sampled states, the flow step, and how close in time and in section
-# coordinate two matching returns lie
+# sampled states, and how close in time and in section coordinate two
+# matching returns lie
 _RETURNS_CONSIDERED = 3
 _SAMPLE_SEED = 0
-_SAMPLE_STEP = 0.02
 _MATCH_TOL = 1e-6
 
 
@@ -52,8 +52,6 @@ def _rhs(surface, u):
     v' = (v.v) grad a - 2 (grad a . v) v  with bilinear (not Hermitian) dots.
     """
     x, v = u[:2], u[2:]
-    if not surface.perturbation:
-        return np.concatenate([v, np.zeros(2, dtype=complex)])
     g = surface.conformal_gradient(x)
     vv = v[0] * v[0] + v[1] * v[1]
     gv = g[0] * v[0] + g[1] * v[1]
@@ -125,75 +123,50 @@ class ReturnRecord:
     section_coordinate: float
 
 
-def _real_flow_step(surface, y, h):
-    """One RK4 step of the real geodesic flow, y = (x1, x2, v1, v2)."""
-    return _rk4_segment(surface, y.astype(complex), h, 1).real
+def _returns(section, start, horizon):
+    """Transversal returns of the flat-torus geodesic flow to the section.
 
-
-def _returns(surface, section, start, horizon, step):
-    """Transversal returns of the real geodesic flow to the section.
-
-    One trajectory is integrated from start up to the horizon, and a
-    ReturnRecord is yielded at each crossing.  Crossings are detected by
-    a sign change of the (unwrapped) section offset and located by
-    bisection to a bracket under 1e-12 in time.
+    x2 + t xi2 meets c + 2 pi Z at t_j = (2 pi j sign(xi2) - d) / xi2,
+    j >= 1, where d is the start's offset from the section; a
+    ReturnRecord is yielded for each t_j up to the horizon.  The start
+    itself (j = 0) is not a return, and a tangential start has none.
     """
-    if abs(section.offset(start.x)) > 1e-9:
+    d = section.offset(start.x)
+    if abs(d) > 1e-9:
         raise StartOffSection("start point is not on the section")
-    y = np.array([start.x[0], start.x[1], start.xi[0], start.xi[1]])
-    a0 = surface.conformal_factor(np.asarray(start.x, dtype=complex)).real
-    y[2:] *= math.exp(-a0)
-    t = 0.0
-    f_prev = section.offset(y[:2])
-    while t < horizon:
-        h = min(step, horizon - t)
-        y_next = _real_flow_step(surface, y, h)
-        f_next = section.offset(y_next[:2])
-        # genuine crossing: small offsets of opposite sign (the offset can
-        # only jump near +-pi when wrapping around the other side)
-        crossed = (f_prev == 0.0 and t > 0 and f_next != 0.0
-                   and abs(f_next) < 1.0) or \
-                  (f_prev * f_next < 0 and abs(f_prev) < 1.0 and abs(f_next) < 1.0)
-        if crossed and t + h > 1e-12:
-            lo, hi = 0.0, h
-            y_lo = y
-            for _ in range(60):
-                mid = 0.5 * (lo + hi)
-                y_mid = _real_flow_step(surface, y_lo, mid - lo)
-                if section.offset(y_mid[:2]) * (f_prev if f_prev != 0 else 1) > 0:
-                    lo, y_lo = mid, y_mid
-                else:
-                    hi = mid
-                if hi - lo < 1e-12:
-                    break
-            t_hit = t + 0.5 * (lo + hi)
-            y_hit = _real_flow_step(surface, y_lo, 0.5 * (lo + hi) - lo)
-            if t_hit > 1e-9:
-                yield ReturnRecord(t_hit, section.coordinate(y_hit[:2]))
-        t += h
-        y, f_prev = y_next, f_next
+    (x1, x2), (xi1, xi2) = start.x, start.xi
+    if xi2 == 0:
+        return
+    for j in count(1):
+        t = (math.copysign(TORUS_SIDE * j, xi2) - d) / xi2
+        if t > horizon:
+            return
+        yield ReturnRecord(t, section.coordinate((x1 + t * xi1,
+                                                  x2 + t * xi2)))
 
 
-def first_return(surface, section, start, horizon, step=0.01):
-    """First transversal return of the real geodesic flow to the section,
-    or None when there is none inside the horizon.  Tangential starts
-    never cross transversally."""
-    return next(_returns(surface, section, start, horizon, step), None)
+def first_return(section, start, horizon):
+    """First transversal return of the flat-torus geodesic flow to the
+    section, or None when there is none inside the horizon.  Tangential
+    starts never cross transversally."""
+    return next(_returns(section, start, horizon), None)
 
 
-def reflect_state(section, state):
-    """Reflection r_H across the section tangent: (xi1, xi2) -> (xi1, -xi2)."""
+def reflect_state(state):
+    """Reflection r_H across a horizontal section's tangent:
+    (xi1, xi2) -> (xi1, -xi2)."""
     return GeodesicState(state.x, (state.xi[0], -state.xi[1]))
 
 
-def asymmetry_diagnostic(surface, section, samples, horizon):
-    """Monte-Carlo measure of reflection-symmetric section states.
+def asymmetry_diagnostic(section, samples, horizon):
+    """Monte-Carlo measure of reflection-symmetric section states of the
+    flat torus.
 
     A state counts as symmetric when, for some of its first three returns,
     the reflected state returns to the same section coordinate at the same
-    time (both within 1e-6).  1.0 means fully symmetric; straight sections
-    on the flat torus are.  States with no return inside the horizon are
-    excluded and reported separately.
+    time (both within 1e-6).  1.0 means fully symmetric; horizontal
+    sections of the flat torus are.  States with no return inside the
+    horizon are excluded and reported separately.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -204,11 +177,10 @@ def asymmetry_diagnostic(surface, section, samples, horizon):
         theta = rng.uniform(0.05, math.pi - 0.05)   # keep away from tangency
         st = GeodesicState((s, section.c % TORUS_SIDE),
                            (math.cos(theta), math.sin(theta)))
-        seq = list(islice(_returns(surface, section, st, horizon,
-                                   _SAMPLE_STEP), _RETURNS_CONSIDERED))
-        seq_r = list(islice(_returns(surface, section,
-                                     reflect_state(section, st), horizon,
-                                     _SAMPLE_STEP), _RETURNS_CONSIDERED))
+        seq = list(islice(_returns(section, st, horizon),
+                          _RETURNS_CONSIDERED))
+        seq_r = list(islice(_returns(section, reflect_state(st), horizon),
+                            _RETURNS_CONSIDERED))
         if not seq or not seq_r:
             no_return += 1
             continue

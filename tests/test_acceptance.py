@@ -223,8 +223,7 @@ def test_criterion_10_geometry():
     for theta in (np.pi / 2, np.pi / 6, 1.0, 2.0):
         st = sl.GeodesicState((1.0, 0.0), (math.cos(theta),
                                            math.sin(theta)))
-        rec = sl.first_return(sl.SurfaceModel(), section, st,
-                              horizon=30.0, step=0.2)
+        rec = sl.first_return(section, st, horizon=30.0)
         ret_err = max(ret_err, abs(rec.time - L / abs(math.sin(theta))))
     ok = worst <= 1e-12 and path_gap <= 1e-8 and ret_err <= 1e-9
     _report(10, "geometry identities", ok,

@@ -34,8 +34,8 @@ CASES = {
                                            step=0.1),
         ValueError),
     "no-samples": (
-        lambda: asymmetry_diagnostic(SurfaceModel(), HorizontalSection(0.0),
-                                     samples=0, horizon=1.0),
+        lambda: asymmetry_diagnostic(HorizontalSection(0.0), samples=0,
+                                     horizon=1.0),
         ValueError),
     "xi-not-q-direction": (
         lambda: GeodesicState((0.0, 0.0), (1.0, 0.0), TORUS_SIDE, (0, 1)),

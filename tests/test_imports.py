@@ -1,13 +1,14 @@
-"""Every name a module imports is used in it, every private helper is
-read, every exception is raised, the README still runs, and the CLI
-starts without modules it does not use.
+"""Every name a module imports is used in it, every private helper and
+every parameter is read, every exception is raised, the README still
+runs, and the CLI starts without modules it does not use.
 
 Parses each .py file of the package (except __init__.py, whose imports
 are its exports), the tests and the demos, and lists the imported names
 that no expression in the file reads.  Lists the module-level private
-names of the package that no package module reads.  Checks that each
-exception class of errors.py is raised somewhere in the package.  Runs
-the README's library quick start, so that a renamed or removed API
+names of the package that no package module reads, and the parameters
+of its functions and lambdas that their bodies never read.  Checks that
+each exception class of errors.py is raised somewhere in the package.
+Runs the README's library quick start, so that a renamed or removed API
 fails here, not in a reader's hands.  Checks in a fresh process that
 importing the CLI loads neither csv nor concurrent.futures, which no
 module uses.
@@ -109,6 +110,49 @@ def test_every_private_name_is_read():
     unread = unread_privates(sources)
     assert not unread, "never read: %s" % ", ".join(
         "%s:%d %s" % row for row in unread)
+
+
+def unread_params(source):
+    """(line, function, parameter) of each parameter of a function or
+    lambda of the source that its body never reads; self and cls are
+    exempt."""
+    unread = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.Lambda)):
+            continue
+        a = node.args
+        params = [p.arg for p in a.posonlyargs + a.args + a.kwonlyargs]
+        params += [p.arg for p in (a.vararg, a.kwarg) if p is not None]
+        body = node.body if isinstance(node.body, list) else [node.body]
+        read = {n.id for stmt in body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        name = getattr(node, "name", "<lambda>")
+        unread += [(node.lineno, name, p) for p in params
+                   if p not in read and p not in ("self", "cls")]
+    return sorted(unread)
+
+
+def test_unread_params_detected():
+    src = ("def f(a, b, *c, d=1, **e):\n    return a + d\n"
+           "class K:\n    def m(self, x):\n        return 0\n"
+           "    @classmethod\n    def n(cls, y):\n"
+           "        return lambda z, w: y + z\n"
+           "def g(u, v):\n    def h():\n        return u\n    return h\n")
+    assert unread_params(src) == [
+        (1, "f", "b"), (1, "f", "c"), (1, "f", "e"), (4, "m", "x"),
+        (8, "<lambda>", "w"), (9, "g", "v")]
+
+
+def test_every_parameter_is_read():
+    pkg = os.path.join(ROOT, "src/striplab")
+    unread = []
+    for name in sorted(os.listdir(pkg)):
+        if name.endswith(".py"):
+            with open(os.path.join(pkg, name)) as fh:
+                unread += [(name,) + row for row in unread_params(fh.read())]
+    assert not unread, "never read: %s" % ", ".join(
+        "%s:%d %s(%s)" % row for row in unread)
 
 
 def test_every_exception_is_raised():
