@@ -4,17 +4,20 @@ Periodic restrictions are finite exponential sums; substituting
 z = e^{2 pi i (t + i tau)/L} turns the continuation into a Laurent
 polynomial.  Its roots come from simultaneous Aberth-Ehrlich iteration
 (Bini 1996), O(N^2) per sweep in O(N) memory.  A restriction real on
-the axis seeds it with its real zeros, bracketed by the sign changes of
-one FFT row and polished by Newton steps, and starts the other iterates
-in the gaps between them; any other starts just off the unit circle, so
-that the sweeps need not wait for rounding to move the roots off it.
-The roots in an annulus are the zeros, and one more call of the same
-p/p' kernel gives their backward errors.
+the axis seeds it with its real zeros: Taylor rows of f on one
+period-aligned FFT grid bracket each by a sign change, or two by an
+extremum across which f changes sign, and a few clipped Newton steps on
+those rows polish them.  Its other roots are pairs z, 1/conj(z): they
+start as such pairs in the gaps between the seeds, and only the inner
+halves are iterated, the outer ones mirrored.  Any other spectrum starts
+just off the unit circle, so that the sweeps need not wait for rounding
+to move the roots off it.  The roots in an annulus are the zeros, and
+one more call of the same p/p' kernel gives their backward errors.
 The kernel splits the degree baby-step giant-step (Paterson and
 Stockmeyer 1973), O(sqrt N) powers a point and one small real matrix
-product.  The argument principle supplies an independent count, and the
-log-modulus Laplacian (Poincare-Lelong) recovers the counting measure
-from growth profiles.
+product, its matrices built once a solve.  The argument principle
+supplies an independent count, and the log-modulus Laplacian
+(Poincare-Lelong) recovers the counting measure from growth profiles.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import BoundaryZero, EmptySpectrum, RootsNotConverged
-from .growth import continue_periodic_grid
+from .growth import _taylor_rows, continue_periodic_grid
 
 _EPS = np.finfo(float).eps
 # Aberth sweeps before RootsNotConverged; blind starts take 13-18 at
@@ -114,9 +117,9 @@ def _real_form(cols):
     return m
 
 
-def _ratios(c, z):
+class _Kernel:
     """p/p' and the backward error |p| / sum |c_k| |z|^k of
-    p(z) = sum c_k z^k at each z.
+    p(z) = sum c_k z^k at given points, its matrices built once a solve.
 
     Baby-step giant-step split (Paterson and Stockmeyer 1973): with
     B = isqrt(N + 1) and G = ceil((N + 1) / B), p(y) = sum_j (y^B)^j q_j(y)
@@ -134,100 +137,157 @@ def _ratios(c, z):
     BLAS products were 20x slower than real ones.  |y| <= 1, so nothing
     overflows: y = z inside the unit circle, and outside it y = 1/z on
     the reversed coefficients, p(z) = z^N q(y), so
-    p/p' = z q / (N q - y q').
+    p/p' = z q / (N q - y q').  C and |C| of both sides are built here,
+    once for the 10-30 calls of a solve.
     """
-    n = len(c) - 1
-    baby = math.isqrt(n + 1)
-    giant = -(-(n + 1) // baby)
-    ratio = np.empty(len(z), dtype=complex)
-    backward = np.empty(len(z))
-    big = np.abs(z) > 1
-    for outer, coef in ((False, c), (True, c[::-1])):
-        at = np.flatnonzero(big == outer)
-        y = 1.0 / z[at] if outer else z[at]
-        # column j holds coef_{jB..jB+B-1} of p, column G + j the same
-        # run of p' = sum (k + 1) coef_{k+1} y^k, zero past the degree
-        runs = np.zeros((2, giant * baby), dtype=complex)
-        runs[0, :n + 1] = coef
-        runs[1, :n] = np.arange(1, n + 1) * coef[1:]
-        runs = runs.reshape(2 * giant, baby).T
-        lin = _real_form(runs)
-        size = np.abs(runs[:, :giant])
-        for b in _row_blocks(len(at), baby * giant):
-            yb = y[b]
-            baby_steps = np.empty((len(yb), baby), dtype=complex)
-            baby_steps[:, 0] = 1.0
-            baby_steps[:, 1:] = yb[:, None]
-            np.cumprod(baby_steps, axis=1, out=baby_steps)
-            giant_steps = np.empty((len(yb), giant), dtype=complex)
-            giant_steps[:, 0] = 1.0
-            giant_steps[:, 1:] = (baby_steps[:, -1] * yb)[:, None]
-            np.cumprod(giant_steps, axis=1, out=giant_steps)
-            q = (baby_steps.view(float) @ lin).view(complex)
-            p, dp = np.einsum("ikj,ij->ki", q.reshape(-1, 2, giant),
-                              giant_steps)
-            backward[at[b]] = np.abs(p) / np.einsum(
-                "ij,ij->i", np.abs(baby_steps) @ size, np.abs(giant_steps))
-            if outer:
-                ratio[at[b]] = z[at[b]] * p / (n * p - yb * dp)
-            else:
-                ratio[at[b]] = p / dp
-    return ratio, backward
+
+    def __init__(self, c):
+        n = self.degree = len(c) - 1
+        # the radius |c_0 / c_N|^{1/N} of the blind starts
+        self.radius = abs(c[0] / c[-1]) ** (1.0 / max(n, 1))
+        self.baby = baby = math.isqrt(n + 1)
+        self.giant = giant = -(-(n + 1) // baby)
+        self.sides = []
+        for coef in (c, c[::-1]):
+            # column j holds coef_{jB..jB+B-1} of p, column G + j the same
+            # run of p' = sum (k + 1) coef_{k+1} y^k, zero past the degree
+            runs = np.zeros((2, giant * baby), dtype=complex)
+            runs[0, :n + 1] = coef
+            runs[1, :n] = np.arange(1, n + 1) * coef[1:]
+            runs = runs.reshape(2 * giant, baby).T
+            self.sides.append((_real_form(runs), np.abs(runs[:, :giant])))
+
+    def __call__(self, z):
+        n, baby, giant = self.degree, self.baby, self.giant
+        ratio = np.empty(len(z), dtype=complex)
+        backward = np.empty(len(z))
+        big = np.abs(z) > 1
+        for outer, (lin, size) in zip((False, True), self.sides):
+            at = np.flatnonzero(big == outer)
+            if not len(at):
+                continue
+            y = 1.0 / z[at] if outer else z[at]
+            for b in _row_blocks(len(at), baby * giant):
+                yb = y[b]
+                baby_steps = np.empty((len(yb), baby), dtype=complex)
+                baby_steps[:, 0] = 1.0
+                baby_steps[:, 1:] = yb[:, None]
+                np.cumprod(baby_steps, axis=1, out=baby_steps)
+                giant_steps = np.empty((len(yb), giant), dtype=complex)
+                giant_steps[:, 0] = 1.0
+                giant_steps[:, 1:] = (baby_steps[:, -1] * yb)[:, None]
+                np.cumprod(giant_steps, axis=1, out=giant_steps)
+                q = (baby_steps.view(float) @ lin).view(complex)
+                p, dp = np.einsum("ikj,ij->ki", q.reshape(-1, 2, giant),
+                                  giant_steps)
+                backward[at[b]] = np.abs(p) / np.einsum(
+                    "ij,ij->i", np.abs(baby_steps) @ size,
+                    np.abs(giant_steps))
+                # p = p' = 0, as on a multiple zero, settles: its ratio
+                # is never read
+                with np.errstate(invalid="ignore", divide="ignore"):
+                    if outer:
+                        ratio[at[b]] = z[at[b]] * p / (n * p - yb * dp)
+                    else:
+                        ratio[at[b]] = p / dp
+        return ratio, backward
 
 
-def _aberth(c, seeds=()):
-    """All N roots of sum c_k z^k, c_0 and c_N nonzero, by Aberth-Ehrlich.
+def _aberth(ratios, seeds=None):
+    """All N roots of the polynomial of the _Kernel `ratios`, c_0 and c_N
+    nonzero, by Aberth-Ehrlich.
 
     Simultaneous (Jacobi) sweeps z_i -= r_i / (1 - r_i sum_{j != i}
-    1 / (z_i - z_j)), with r = p/p'.  Given R seeds, 0 < R <= N, the
-    angles of real zeros from _real_seeds, the starts are e^{i theta} at
-    the seeds and the N - R points of _gap_starts scaled to the circle
-    of radius |c_0 / c_N|^{1/N}: nearly all seeds have settled before
-    the first step and the gaps hold the others in proportion to their
-    width, so a solve at lambda=300-3000 passes 2.5-2.8 N points through
-    p/p', not 6.2-6.7 N.  Otherwise the N starts are spread in angle around
-    that circle, turned by 0.7 rad so that no start lies on the real axis,
-    where the iterates of a real polynomial would stay.  Their radii
-    alternate between radius e^{+-_START_OFF}, which breaks the symmetry
-    z -> 1/conj(z) as the turn breaks the real-axis one: a real mode's
-    restriction has nu(-n) = conj(nu(n)), so |c_0| = |c_N|, the radius
-    is 1, and iterates started on the unit circle stay on it until
-    rounding pushes them off, about ten sweeps at degree 600.  An
-    iterate whose backward error is at rounding level, which is where
-    the iterates of a multiple root stop, has settled: it takes no step
-    and costs no pairwise row.  One whose step falls below 1e-15 |z|
-    freezes after that step.  The pairwise sums run in real arithmetic,
-    (dx - i dy) / (dx^2 + dy^2), which costs less than numpy's complex
-    reciprocal.  Raises RootsNotConverged when any iterate still moves
-    after _MAX_SWEEPS sweeps.
+    1 / (z_i - z_j)), with r = p/p'.  `seeds` is None or the (angles,
+    backward errors) of R real zeros from _real_seeds.  When 0 < R <= N
+    the starts are e^{i theta} at the seeds and the gaps between them
+    hold the others in proportion to their width (_gap_angles).  A seed
+    whose backward error is already at rounding level has settled and
+    never passes through p/p'.  Seeds come only from a restriction real
+    on the axis, whose roots off the unit circle are pairs z, 1/conj(z):
+    when N - R is even the others start as (N - R) / 2 pairs
+    e^{-+pi/N + i phi}, and only the seeds and the inner halves are
+    iterated; after each sweep every outer half is set to 1/conj of its
+    inner one, and joins the pairwise sums only as a point.  An inner
+    half that steps outside the circle swaps with its mirror.  A pair
+    whose inner iterate still moves within 1e-6 of the circle in
+    log-radius, or crosses it to within pi/N, is closing on real zeros
+    no seed found (three in one cell, say): both halves go on as free
+    iterates.  A solve at lambda=300 then passes about 1.0 N points
+    through p/p' in 12-19 sweeps, not 2.5-2.8 N with every iterate free
+    or 6.2-6.7 N from blind starts.  An odd N - R, as a double zero
+    seeded once leaves, makes no pairs: its N - R iterates start free at
+    the gap angles, at log-radius +-pi/N in turn.  One free iterate
+    beside the pairs could take a pair's inner root and stall that pair
+    off the circle; started on the circle instead, it left the centroid
+    of a double zero 1e-8 off.  Without seeds the N starts are
+    spread in angle around the circle of radius |c_0 / c_N|^{1/N}, turned
+    by 0.7 rad so that no start lies on the real axis, where the iterates
+    of a real polynomial would stay.  Their radii alternate between
+    radius e^{+-_START_OFF}, which breaks the symmetry z -> 1/conj(z) as
+    the turn breaks the real-axis one: a real mode's restriction has
+    nu(-n) = conj(nu(n)), so |c_0| = |c_N|, the radius is 1, and iterates
+    started on the unit circle stay on it until rounding pushes them off,
+    about ten sweeps at degree 600.  An iterate whose backward error is
+    at rounding level, which is where the iterates of a multiple root
+    stop, has settled: it takes no step and costs no pairwise row.  One
+    whose step falls below 1e-15 |z| freezes after that step.  The
+    pairwise sums run in real arithmetic, (dx - i dy) / (dx^2 + dy^2),
+    which costs less than numpy's complex reciprocal.  Raises
+    RootsNotConverged when any iterate still moves after _MAX_SWEEPS
+    sweeps.
     """
-    n = len(c) - 1
+    n = ratios.degree
     if n < 1:
         return np.empty(0, dtype=complex)
-    radius = abs(c[0] / c[-1]) ** (1.0 / n)
-    seeds = np.asarray(seeds, dtype=float)
-    if 0 < len(seeds) <= n:
-        z = np.r_[np.exp(1j * seeds), radius * _gap_starts(seeds, n)]
+    settle = 4.0 * (n + 1) * _EPS
+    theta, backward = seeds if seeds is not None else (np.empty(0),) * 2
+    pairs = 0
+    if 0 < len(theta) <= n:
+        # the settled seeds skip the first p/p' pass
+        moving = np.flatnonzero(backward > settle)
+        loose = n - len(theta)
+        pairs = 0 if loose % 2 else loose // 2
+        loose -= 2 * pairs
+        phi = _gap_angles(theta, n, pairs + loose)
+        inner = np.exp(-np.pi / n + 1j * phi[:pairs])
+        z = np.r_[np.exp(1j * theta), inner, 1.0 / np.conj(inner),
+                  np.exp(np.pi / n * (-1.0) ** np.arange(loose)
+                         + 1j * phi[pairs:])]
+        moving = np.r_[moving, len(theta) + np.arange(pairs),
+                       len(theta) + 2 * pairs + np.arange(loose)]
+        # the inner halves still mirrored
+        mirrored = np.zeros(n, dtype=bool)
+        mirrored[len(theta):len(theta) + pairs] = True
     else:
         k = np.arange(n)
-        z = radius * np.exp(_START_OFF * (-1.0) ** k
-                            + 1j * (2.0 * np.pi * k / n + 0.7))
-    moving = np.arange(n)
+        z = ratios.radius * np.exp(_START_OFF * (-1.0) ** k
+                                   + 1j * (2.0 * np.pi * k / n + 0.7))
+        moving = k
+    work = [np.empty((min(n, max(1, _BLOCK // (3 * n // 2))), n))
+            for _ in range(3)]
     for _ in range(_MAX_SWEEPS):
-        ratio, backward = _ratios(c, z[moving])
+        ratio, backward = ratios(z[moving])
         # an iterate whose backward error is at rounding level has settled
-        live = backward > 4.0 * (n + 1) * _EPS
+        live = backward > settle
         moving, ratio = moving[live], ratio[live]
         if not len(moving):
             return z
         zi = z[moving]
         # sum_{j != i} 1 / (z_i - z_j) = sum (dx - i dy) / (dx^2 + dy^2);
-        # a block's three real arrays fit in _BLOCK complex elements
+        # a block's three real arrays fit in _BLOCK complex elements, and
+        # are written into the same buffers each sweep: fresh ones cost
+        # their page faults, 2.6 times the arithmetic at degree 602.  Three
+        # buffers, not one of thrice the size: glibc raises its mmap
+        # threshold to the largest block freed, and a 0.5 MB one left
+        # later allocations on the heap, 0.5 MB more peak RSS in a run
+        x, y = z.real.copy(), z.imag.copy()
         pair = np.empty(len(moving), dtype=complex)
         for b in _row_blocks(len(moving), 3 * n // 2):
-            dx = zi.real[b, None] - z.real
-            dy = zi.imag[b, None] - z.imag
-            w = dx * dx
+            dx, dy, w = (a[:len(zi[b])] for a in work)
+            np.subtract(zi.real[b, None], x, out=dx)
+            np.subtract(zi.imag[b, None], y, out=dy)
+            np.multiply(dx, dx, out=w)
             w += dy * dy
             w[np.arange(w.shape[0]), moving[b]] = np.inf
             np.reciprocal(w, out=w)
@@ -235,74 +295,141 @@ def _aberth(c, seeds=()):
             pair.imag[b] = -np.einsum("ij,ij->i", dy, w)
         step = ratio / (1.0 - ratio * pair)
         z[moving] = zi - step
-        moving = moving[np.abs(step) > 1e-15 * np.abs(zi)]
+        keep = np.abs(step) > 1e-15 * np.abs(zi)
+        if pairs:
+            on = mirrored[moving]
+            inner = moving[on]
+            gap = np.log(np.abs(z[inner]))
+            # an inner half that stepped outside swaps with its mirror;
+            # one within 1e-6 of the circle, or that crossed it within
+            # pi/N, as between two real zeros no seed found, frees its
+            # pair, whose outer half restarts 2e-6 further out
+            out = gap > 0.0
+            z[inner[out]] = 1.0 / np.conj(z[inner[out]])
+            free = keep[on] & ((np.abs(gap) < 1e-6) | out & (gap < np.pi / n))
+            gap = np.where(out, -gap, gap)
+            z[inner + pairs] = z[inner] * np.exp(2e-6 * free - 2.0 * gap)
+            if free.any():
+                mirrored[inner[free]] = False
+                keep = np.r_[keep, np.ones(free.sum(), dtype=bool)]
+                moving = np.r_[moving, inner[free] + pairs]
+        moving = moving[keep]
         if not len(moving):
             return z
     raise RootsNotConverged("%d of %d Aberth iterates still move after "
                             "%d sweeps" % (len(moving), n, _MAX_SWEEPS))
 
 
+def _clipped_newton(a, s, lo, hi, steps=_SEED_NEWTON):
+    """s after `steps` Newton steps on the polynomials sum_k a[k, i] s^k,
+    one a column i, each step clipped to [lo, hi], and the values and
+    slopes there.  A step that is not finite, as on a zero slope, goes
+    to lo."""
+    slope_coef = a[1:] * np.arange(1.0, len(a))[:, None]
+    powers = np.empty_like(a)
+    powers[0] = 1.0
+    for i in range(steps + 1):
+        powers[1:] = s
+        np.cumprod(powers, axis=0, out=powers)
+        value = np.einsum("ij,ij->j", a, powers)
+        slope = np.einsum("ij,ij->j", slope_coef, powers[:-1])
+        if i == steps:
+            return s, value, slope
+        with np.errstate(invalid="ignore", divide="ignore"):
+            s = np.fmin(np.fmax(s - value / slope, lo), hi)
+
+
 def _real_seeds(spectrum):
     """The real zeros of a restriction real on the axis, as the
-    ascending distinct angles 2 pi t / L in [0, 2 pi); none unless
+    ascending distinct angles theta = 2 pi t / L in [0, 2 pi), and the
+    backward error |f(theta)| / sum |c_k| of each; none unless
     nu(-n) = conj(nu(n)) to rounding.
 
-    One a sign change of f on a period-aligned grid of 2^k points,
-    _SEED_POINTS or more a period of the top frequency (one FFT row of
-    continue_periodic_grid), started by linear interpolation in its
-    bracket and polished by _SEED_NEWTON Newton steps in t, each clipped
-    to the bracket: unclipped, two seeds could fall onto one simple zero
-    and pass for a double one.  np.signbit makes a zero on a grid point
-    one bracket, not two.  A seed on which p/p' is not finite is left
-    out: there p and p' vanish to the last bit, as at the grid points 0
-    and pi of sin(t)^2 cos(3t), and Aberth cannot start on it.
+    The grid is period aligned, 2^k points theta_j = j h, _SEED_POINTS
+    or more a period of the top frequency.  Its Taylor rows
+    a_k(j) = f^(k)(theta_j) h^k / k!, k < K, come from _taylor_rows, K the
+    least with (n_top h)^K / K! < eps (15-17 at lambda 300-10^4, where
+    n_top h lies between pi / 8 and pi / 4), so
+    f(theta_j + s h) = sum_k a_k(j) s^k to rounding
+    on the cell 0 <= s <= 1.  Rows 0 and 1 are read whole; of the others
+    only the columns of the cells that hold a seed are kept, O(m + K x
+    cells) memory.  A cell where f changes sign holds one zero, started
+    by linear interpolation (np.signbit makes a zero on a grid point one
+    cell, not two).  A cell where f' changes sign and f does not holds an
+    extremum, found by Newton steps on f'; where f changes sign there
+    too, the cell holds two zeros, started on either side of the
+    extremum from its curvature.  Each zero is polished by _SEED_NEWTON
+    Newton steps in s on its cell's polynomial, each clipped to its
+    bracket: unclipped, two seeds could fall onto one simple zero and
+    pass for a double one.  No seed passes through p/p'.
     """
     c, top = spectrum.coeffs, spectrum.n_max
     if top < 1 or spectrum.n_min != -top or (
             np.max(np.abs(c - np.conj(c[::-1])))
             > _REAL_TOL * np.max(np.abs(c))):
-        return np.empty(0)
+        return np.empty(0), np.empty(0)
     m = 1 << (_SEED_POINTS * top - 1).bit_length()
-    h = 2.0 * np.pi / m
-    f = continue_periodic_grid(
-        spectrum, np.arange(m) * (spectrum.period / m), 0.0)[0].real
-    sign = np.signbit(f)
-    j = np.flatnonzero(sign != np.roll(sign, -1))
-    a, b = np.abs(f[j]), np.abs(f[(j + 1) % m])
-    # the end of one bracket is, to the bit, the start of the next
-    lo, hi = h * j, h * (j + 1)
-    theta = lo + h * a / np.maximum(a + b, np.finfo(float).tiny)
-    z = np.exp(1j * theta)
+    reach = 2.0 * np.pi * top / m           # n_top h, at most pi / 4
+    count, term = 1, reach
+    while term >= _EPS:
+        count += 1
+        term *= reach / count
+    rows = _taylor_rows(spectrum, m, count)
+    f, df = next(rows), next(rows)
+    sign, dsign = np.signbit(f), np.signbit(df)
+    flip = sign != np.roll(sign, -1)
+    cross = np.flatnonzero(flip)
+    turn = np.flatnonzero((dsign != np.roll(dsign, -1)) & ~flip)
+    cols = np.r_[cross, turn]
+    a = np.empty((count, len(cols)))
+    a[0], a[1] = f[cols], df[cols]
+    for k, row in enumerate(rows, 2):
+        a[k] = row[cols]
+    # the extrema of the turning cells, by Newton steps on f', and f there
+    tiny = np.finfo(float).tiny
+    ends = np.abs(df[[turn, (turn + 1) % m]])
+    turning = a[:, len(cross):]
+    at, _, bend = _clipped_newton(
+        turning[1:] * np.arange(1.0, count)[:, None],
+        ends[0] / np.maximum(ends[0] + ends[1], tiny), 0.0, 1.0)
+    _, peak, _ = _clipped_newton(turning, at, 0.0, 1.0, 0)
+    hidden = np.signbit(peak) != sign[turn]
+    at, peak, bend = at[hidden], peak[hidden], bend[hidden]
+    # f = peak + bend (s - at)^2 / 2 near the extremum
     with np.errstate(invalid="ignore", divide="ignore"):
-        for _ in range(_SEED_NEWTON):
-            ratio, _ = _ratios(c, z)
-            # f / f' in theta, with f = z^{-top} p and r = p/p'
-            step = (ratio / (1j * (z - top * ratio))).real
-            theta = np.clip(theta - step, lo, hi)
-            z = np.exp(1j * theta)
-        ratio, _ = _ratios(c, z)
-    # the seeds ascend but for one at 2 pi, which is t = 0 and goes first
-    theta = theta[np.isfinite(ratio)] % (2.0 * np.pi)
-    theta = np.roll(theta, np.count_nonzero(np.diff(theta) < 0))
-    return theta[np.diff(theta, prepend=-1.0) > 0]
+        half = np.nan_to_num(np.sqrt(-2.0 * peak / bend))
+    ends = np.abs(f[[cross, (cross + 1) % m]])
+    pick = np.r_[np.arange(len(cross)), len(cross) + np.flatnonzero(hidden)]
+    pick = np.r_[pick, pick[len(cross):]]
+    lo = np.r_[np.zeros(len(cross) + len(at)), at]
+    hi = np.r_[np.ones(len(cross)), at, np.ones(len(at))]
+    start = np.r_[ends[0] / np.maximum(ends[0] + ends[1], tiny),
+                  np.maximum(at - half, 0.0), np.minimum(at + half, 1.0)]
+    s, value, _ = _clipped_newton(a[:, pick], start, lo, hi)
+    # theta = h (j + s): the end of one cell is, to the bit, the start of
+    # the next, and one at 2 pi is t = 0
+    theta = (2.0 * np.pi / m) * (cols[pick] + s) % (2.0 * np.pi)
+    backward = np.abs(value) / np.sum(np.abs(c))
+    order = np.argsort(theta, kind="stable")
+    theta, backward = theta[order], backward[order]
+    keep = np.diff(theta, prepend=-1.0) > 0
+    return theta[keep], backward[keep]
 
 
-def _gap_starts(theta, n):
-    """n - len(theta) points e^{+-pi/n + i phi} in the gaps between
-    seeds at the ascending angles theta in [0, 2 pi), which n zeros
-    spread evenly in angle share: a gap g holds g n / 2 pi of them less
-    its seed's, cut at 0, scaled to the total and rounded cumulatively,
-    at even steps across it.  The log-radius, half the mean spacing,
-    alternates in sign from point to point."""
+def _gap_angles(theta, n, count):
+    """`count` angles phi in the gaps between seeds at the ascending
+    angles theta in [0, 2 pi), which n zeros spread evenly in angle
+    share: a gap g holds g n / 2 pi of them less its seed's, cut at 0,
+    scaled to the total and rounded cumulatively, at even steps across
+    it."""
     gap = np.diff(theta, append=theta[0] + 2.0 * np.pi)
     # the shares sum to at least n - len(theta), so only n seeds leave 0
     cum = np.cumsum(np.maximum(gap * (n / (2.0 * np.pi)) - 1.0, 0.0))
-    cum = np.round(cum * ((n - len(theta)) / max(cum[-1], _EPS)))
+    cum = np.round(cum * (count / max(cum[-1], _EPS)))
     k = np.diff(cum, prepend=0.0).astype(int)
     at = np.repeat(np.arange(len(theta)), k)
     j = np.arange(len(at)) - np.repeat(np.cumsum(k) - k, k)
-    fill = theta[at] + gap[at] * (j + 1) / (k[at] + 1)
-    return np.exp(np.pi / n * (-1.0) ** np.arange(len(at)) + 1j * fill)
+    return theta[at] + gap[at] * (j + 1) / (k[at] + 1)
 
 
 def _multiplicities(z):
@@ -358,8 +485,8 @@ def laurent_roots(spectrum, tau_max):
     if tau_max < 0:
         raise ValueError("tau_max=%g is negative" % tau_max)
     L = spectrum.period
-    roots, mults = _multiplicities(
-        _aberth(spectrum.coeffs, _real_seeds(spectrum)))
+    ratios = _Kernel(spectrum.coeffs)
+    roots, mults = _multiplicities(_aberth(ratios, _real_seeds(spectrum)))
 
     r_lo = math.exp(-2.0 * math.pi * tau_max / L) - 1e-9
     r_hi = math.exp(2.0 * math.pi * tau_max / L) + 1e-9
@@ -367,7 +494,7 @@ def laurent_roots(spectrum, tau_max):
     z = roots[kept]
     t = (L * np.angle(z) / (2.0 * math.pi)) % L
     tau = -L * np.log(np.abs(z)) / (2.0 * math.pi)
-    _, backward = _ratios(spectrum.coeffs, z)
+    _, backward = ratios(z)
     warn = bool(np.max(backward, initial=0.0) > _RESIDUAL_TOL)
     # the two zeros of a conjugate pair share t only up to rounding
     order = np.lexsort((tau, np.round(t / (1e-9 * L))))

@@ -142,7 +142,8 @@ def test_aberth_matches_np_roots(seed, kind):
             + 1j * rng.standard_normal(degree + 1)
         spec = OrbitalSpectrum(float(degree), L, n_min=n_min, coeffs=coeffs)
     c = spec.coeffs
-    _assert_same_roots(zeros._aberth(c), np.roots(c[::-1]), 1e-12)
+    _assert_same_roots(zeros._aberth(zeros._Kernel(c)), np.roots(c[::-1]),
+                       1e-12)
 
 
 def test_ratios_match_polyval():
@@ -164,7 +165,7 @@ def test_ratios_match_polyval():
         # half the points inside the unit circle, half outside
         z = np.exp(np.r_[rng.uniform(-0.7, 0.0, m), rng.uniform(0.0, 0.7, m)]
                    + 1j * rng.uniform(0.0, 2 * np.pi, 2 * m))
-        ratio, backward = zeros._ratios(c, z)
+        ratio, backward = zeros._Kernel(c)(z)
         p = np.polyval(c[::-1], z)
         dp = np.polyval(np.polyder(c[::-1]), z)
         size = np.polyval(np.abs(c[::-1]), np.abs(z))
@@ -173,8 +174,8 @@ def test_ratios_match_polyval():
     # degree 6002: |z|^6002 is e^{+-1800} at |z| = e^{+-0.3}, past float64
     c = np.random.default_rng(0).standard_normal(6003) + 0j
     for r in (0.3, -0.3):
-        ratio, backward = zeros._ratios(
-            c, np.exp(r + 1j * np.linspace(0.0, 2 * np.pi, 64)))
+        ratio, backward = zeros._Kernel(c)(
+            np.exp(r + 1j * np.linspace(0.0, 2 * np.pi, 64)))
         assert np.isfinite(ratio).all() and np.isfinite(backward).all()
         assert np.all(backward > 0)
 
@@ -270,8 +271,8 @@ def _pairwise_multiplicities(z):
 
 def test_multiplicities_match_the_pairwise_oracle(lam300):
     for spec in [spec for spec, _ in lam300] + [_DOUBLE, _NEAR, _TRIPLE]:
-        for seeds in (zeros._real_seeds(spec), ()):
-            z = zeros._aberth(spec.coeffs, seeds)
+        for seeds in (zeros._real_seeds(spec), None):
+            z = zeros._aberth(zeros._Kernel(spec.coeffs), seeds)
             got, want = zeros._multiplicities(z), _pairwise_multiplicities(z)
             assert np.array_equal(got[0], want[0])
             assert np.array_equal(got[1], want[1])
@@ -285,8 +286,9 @@ def _seeded_and_blind(spec):
     """Roots and multiplicities from the real seeds' starts and from the
     blind ones, and the seeds."""
     seeds = zeros._real_seeds(spec)
-    return [zeros._multiplicities(zeros._aberth(spec.coeffs, s))
-            for s in (seeds, ())], seeds
+    kernel = zeros._Kernel(spec.coeffs)
+    return [zeros._multiplicities(zeros._aberth(kernel, s))
+            for s in (seeds, None)], seeds[0]
 
 
 def _assert_same_rows(got, want, tol):
@@ -330,47 +332,153 @@ def test_non_real_spectra_keep_the_blind_starts():
     for n_min in (-20, -7):     # balanced and lopsided
         spec = OrbitalSpectrum(20.0, L, n_min=n_min, coeffs=coeffs)
         seeds = zeros._real_seeds(spec)
-        assert not len(seeds)
-        assert np.array_equal(zeros._aberth(spec.coeffs, seeds),
-                              zeros._aberth(spec.coeffs))
+        assert not len(seeds[0])
+        kernel = zeros._Kernel(spec.coeffs)
+        assert np.array_equal(zeros._aberth(kernel, seeds),
+                              zeros._aberth(kernel))
 
 
 def test_real_seeds_halve_the_aberth_sweeps(monkeypatch):
-    # blind starts took 6.2-6.4 N iterate-sweeps at lambda=300: points
-    # passed to the p/p' kernel, N a full sweep
+    # blind starts took 6.2-6.4 N iterate-sweeps at lambda=300, free
+    # iterates from the seeds 2.5-2.8 N: points passed to the per-solve
+    # p/p' kernel, N a full sweep.  The seed polish passes none
     points = []
-    ratios = zeros._ratios
+    call = zeros._Kernel.__call__
 
-    def counting(c, z):
+    def counting(kernel, z):
         points.append(len(z))
-        return ratios(c, z)
+        return call(kernel, z)
 
+    monkeypatch.setattr(zeros._Kernel, "__call__", counting)
     for seed in range(5):
         spec = exact_restriction_spectrum(
             sample_random_wave(300.0, 1.0, seed), torus_geodesic((1, 0)))
-        seeds = zeros._real_seeds(spec)
+        points.clear()
+        found = zeros._real_seeds(spec)
+        assert not points
         # each seed stays in its own bracket: they ascend in [0, 2 pi)
+        seeds = found[0]
         assert 0 <= seeds[0] and seeds[-1] < 2 * np.pi
         assert np.all(np.diff(seeds) > 0)
-        points.clear()
-        monkeypatch.setattr(zeros, "_ratios", counting)
-        zeros._aberth(spec.coeffs, seeds)
-        monkeypatch.setattr(zeros, "_ratios", ratios)
-        assert sum(points) <= 3.5 * (len(spec.coeffs) - 1)
+        zeros._aberth(zeros._Kernel(spec.coeffs), found)
+        assert sum(points) <= 1.5 * (len(spec.coeffs) - 1)
 
 
 def test_settled_seeds_take_no_step():
-    # a polished seed whose backward error is already at rounding level
-    # leaves Aberth as it came in, without a step or a pairwise row
+    # a polished seed whose own backward error is already at rounding
+    # level leaves Aberth as it came in, without a step or a pairwise row
     spec = exact_restriction_spectrum(sample_random_wave(300.0, 1.0, 0),
                                       torus_geodesic((1, 0)))
-    c, seeds = spec.coeffs, zeros._real_seeds(spec)
-    start = np.exp(1j * seeds)
-    _, backward = zeros._ratios(c, start)
+    c = spec.coeffs
+    seeds, backward = zeros._real_seeds(spec)
     settled = backward <= 4.0 * len(c) * zeros._EPS
     assert settled.sum() >= 0.9 * len(seeds)
-    roots = zeros._aberth(c, seeds)
-    assert np.array_equal(roots[:len(seeds)][settled], start[settled])
+    # the seeds' own errors agree with those of the kernel
+    _, kernel_backward = zeros._Kernel(c)(np.exp(1j * seeds))
+    tol = 4.0 * len(c) * zeros._EPS
+    assert np.max(np.abs(backward - kernel_backward)) < tol
+    roots = zeros._aberth(zeros._Kernel(c), (seeds, backward))
+    assert np.array_equal(roots[:len(seeds)][settled],
+                          np.exp(1j * seeds[settled]))
+
+
+def _hidden_pair(c, delta):
+    """The coefficients of cos(delta) - cos(t - c) on -1..1."""
+    return np.array([-np.exp(1j * c) / 2, np.cos(delta),
+                     -np.exp(-1j * c) / 2])
+
+
+def test_real_seeds_find_a_hidden_pair():
+    # cos(delta) - cos(t - c) has two zeros c +- delta in the one cell
+    # centred on c, where f keeps its sign at both ends
+    m = 8                                   # the seeding grid of n_max 1
+    for j, frac in [(0, 0.3), (3, 0.1), (5, 0.45), (7, 0.02)]:
+        h = 2 * np.pi / m
+        c, delta = (j + 0.5) * h, frac * h
+        spec = OrbitalSpectrum(1.0, L, n_min=-1,
+                               coeffs=_hidden_pair(c, delta))
+        seeds, backward = zeros._real_seeds(spec)
+        assert seeds == pytest.approx([c - delta, c + delta], abs=1e-12)
+        zs = laurent_roots(spec, tau_max=0.3)
+        assert zs.t == pytest.approx([c - delta, c + delta], abs=1e-12)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 10 ** 6), frac=st.floats(0.02, 0.45))
+def test_hidden_pairs_in_random_real_spectra(seed, frac):
+    # the pair times a random real g: the cell centred where |g| is
+    # largest holds the two zeros of the pair and no sign change
+    g = _real_spectrum(seed)
+    top = g.n_max + 1
+    m = 1 << (zeros._SEED_POINTS * top - 1).bit_length()
+    h = 2 * np.pi / m
+    mid = (np.arange(m) + 0.5) * h
+    j = int(np.argmax(np.abs(continue_periodic_grid(g, mid, 0.0)[0])))
+    c, delta = mid[j], frac * h
+    coeffs = np.convolve(g.coeffs, _hidden_pair(c, delta))
+    spec = OrbitalSpectrum(float(top), L, n_min=-top, coeffs=coeffs)
+    seeds = zeros._real_seeds(spec)
+    got = zeros._aberth(zeros._Kernel(coeffs), seeds)
+    for want in (c - delta, c + delta):
+        assert np.min(np.abs(seeds[0] - want)) < 1e-12
+        assert np.min(np.abs(got - np.exp(1j * want))) < 1e-12
+    # a zero of g can be ill-conditioned: at seed 75 blind Aberth and
+    # np.roots differ by 1.3e-12 on one
+    _assert_same_roots(got, np.roots(coeffs[::-1]), 1e-10)
+
+
+def test_three_real_zeros_in_one_cell_free_their_pair():
+    # (cos(delta) - cos(t - c)) sin(t - c - h / 10) has three zeros in the
+    # cell centred on c and one opposite; the seeds find one of the three,
+    # so the one mirrored pair must go free to reach the other two
+    m = 16                                  # the seeding grid of n_max 2
+    h = 2 * np.pi / m
+    for j in range(m):
+        c = (j + 0.5) * h
+        sine = np.array([-np.exp(1j * (c + h / 10)), 0,
+                         np.exp(-1j * (c + h / 10))]) / 2j
+        coeffs = np.convolve(_hidden_pair(c, 0.3 * h), sine)
+        spec = OrbitalSpectrum(2.0, L, n_min=-2, coeffs=coeffs)
+        seeds = zeros._real_seeds(spec)
+        assert len(seeds[0]) == 2
+        got = zeros._aberth(zeros._Kernel(coeffs), seeds)
+        want = np.exp(1j * (c + np.array([-0.3, 0.1, 0.3, 0.1]) * h
+                            + [0, 0, 0, np.pi]))
+        _assert_same_roots(got, want, 1e-12)
+
+
+@pytest.mark.parametrize("drop", [1, 3])
+def test_an_odd_remainder_starts_free_iterates(drop):
+    # seeds with one or three real zeros left out leave N - R odd, as a
+    # double zero seeded once does: the N - R others then start free
+    for seed in range(8):
+        spec = _real_spectrum(seed)
+        c, n = spec.coeffs, len(spec.coeffs) - 1
+        theta, backward = zeros._real_seeds(spec)
+        out = np.linspace(0, len(theta) - 1, drop).astype(int)
+        keep = np.ones(len(theta), dtype=bool)
+        keep[out] = False
+        assert (n - keep.sum()) % 2 == 1
+        got = zeros._aberth(zeros._Kernel(c), (theta[keep], backward[keep]))
+        # a seed left unsettled is only near its zero
+        for want in theta[out]:
+            assert np.min(np.abs(got - np.exp(1j * want))) < 1e-9
+        _assert_same_roots(got, np.roots(c[::-1]), 1e-12)
+
+
+def test_conjugate_pairs_mirror_to_rounding():
+    # every zero off the axis has its partner (t, -tau) within 8 eps L;
+    # a real zero is its own partner
+    tol = 8 * zeros._EPS * L
+    for seed in range(5):
+        spec = exact_restriction_spectrum(
+            sample_random_wave(300.0, 1.0, seed), torus_geodesic((1, 0)))
+        zs = laurent_roots(spec, tau_max=0.2)
+        off = zs.tau != 0
+        dt = np.abs(zs.t[off, None] - zs.t[None, :])
+        dt = np.minimum(dt, L - dt)                 # across the seam
+        du = np.abs(zs.tau[off, None] + zs.tau[None, :])
+        assert np.all(np.min(np.maximum(dt, du), axis=1) <= tol)
 
 
 def test_conditioning_warning_reads_the_backward_residual(lam300,
@@ -380,29 +488,44 @@ def test_conditioning_warning_reads_the_backward_residual(lam300,
     # roots turned 1e-3 rad off their place are not zeros
     aberth = zeros._aberth
     monkeypatch.setattr(zeros, "_aberth",
-                        lambda c, seeds: aberth(c, seeds) * np.exp(1e-3j))
+                        lambda ratios, seeds: aberth(ratios, seeds)
+                        * np.exp(1e-3j))
     small = exact_restriction_spectrum(sample_random_wave(30.0, 1.0, 0),
                                        torus_geodesic((1, 0)))
     assert laurent_roots(small, tau_max=0.3).conditioning_warning
 
 
-def test_laurent_roots_makes_one_grid_call(lam300, monkeypatch):
-    # the real seeds take one tau = 0 row on a period-aligned grid of
-    # 2^k points; roots and warning come from the polynomial kernel
+def test_every_grid_of_a_solve_is_period_aligned(lam300, monkeypatch):
+    # the real seeds take Taylor rows on a period-aligned grid of 2^k
+    # points, 8 or more a period of the top frequency; roots and warning
+    # come from the polynomial kernel, and no grid goes through the
+    # general evaluator
     calls = []
 
     def counting(*args):
         calls.append(args)
         return continue_periodic_grid(*args)
 
+    taylor = zeros._taylor_rows
+
+    def rows(spectrum, m, count):
+        calls.append((spectrum, m, count))
+        return taylor(spectrum, m, count)
+
     monkeypatch.setattr(zeros, "continue_periodic_grid", counting)
+    monkeypatch.setattr(zeros, "_taylor_rows", rows)
     spec, zs = lam300[0]
     assert np.array_equal(_rows(laurent_roots(spec, tau_max=0.2)), _rows(zs))
-    (called, t, tau), = calls
-    m = len(t)
-    assert called is spec and tau == 0.0
+    (called, m, count), = calls
+    assert called is spec
     assert m & (m - 1) == 0 and m >= 8 * spec.n_max
-    assert np.array_equal(t, np.arange(m) * (spec.period / m))
+    # the rows match the derivatives of the sum on that grid
+    t = np.arange(m) * (L / m)
+    for k, row in enumerate(taylor(spec, m, 3)):
+        coeffs = spec.coeffs * (2j * np.pi * spec.freqs / m) ** k
+        want = _exp_sum(1.0, spec.freqs, coeffs / math.factorial(k), t,
+                        [0.0])[0]
+        assert np.max(np.abs(row - want)) < 1e-12 * np.max(np.abs(want))
 
 
 def test_argument_principle_counts_the_full_strip(lam300):
